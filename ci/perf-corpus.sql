@@ -3,7 +3,11 @@
 -- The goal mix mirrors the throughput bench's corpus-shaped workload:
 -- predicate pushdown through a join, EXISTS-to-join under DISTINCT,
 -- GROUP BY alias renames, UNION ALL commutation, and a sprinkle of
--- non-theorems so both exit kinds of both backends appear. Deterministic
+-- non-theorems so both exit kinds of both backends appear. The last goal
+-- is the c39 shape in miniature: a 7-way cyclic self-join equated on k
+-- against the same cycle on b. Forward predicate checking decides it in a
+-- few hundred steps; a matcher that enumerated every pairing would show as
+-- a jump in congruence-finds and congruence-unions. Deterministic
 -- counters over this file are byte-identical run to run; CI diffs them
 -- against ci/baseline-metrics.json with udp-prof-diff. Regenerate the
 -- baseline with the same udp-verify invocation CI uses (see
@@ -94,3 +98,12 @@ verify
 SELECT x.a AS a FROM r x, r2 z WHERE x.k = z.k AND x.a = 16
 ==
 SELECT x.a AS a FROM r2 z, r x WHERE z.k = x.k AND x.a = 16;
+
+verify
+SELECT x1.a AS v FROM r2 x1, r2 x2, r2 x3, r2 x4, r2 x5, r2 x6, r2 x7
+WHERE x1.k = x2.k AND x2.k = x3.k AND x3.k = x4.k AND x4.k = x5.k
+  AND x5.k = x6.k AND x6.k = x7.k AND x7.k = x1.k
+==
+SELECT y1.a AS v FROM r2 y1, r2 y2, r2 y3, r2 y4, r2 y5, r2 y6, r2 y7
+WHERE y1.b = y2.b AND y2.b = y3.b AND y3.b = y4.b AND y4.b = y5.b
+  AND y5.b = y6.b AND y6.b = y7.b AND y7.b = y1.b;

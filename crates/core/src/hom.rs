@@ -11,6 +11,26 @@
 //!   term's variables to expressions over the target term such that every
 //!   mapped atom exists in the target (modulo congruence) and every mapped
 //!   predicate is implied — the classical CQ-containment test [47].
+//!
+//! The search prunes as it goes:
+//!
+//! * **Forward checking.** Each pattern predicate is tested against the
+//!   target's congruence closure once, as soon as the last of its bound
+//!   variables is bound — in atom unification or in the assignment of
+//!   variables that occur in no atom. Predicates over free variables only
+//!   are tested before the search starts. This is the leaf's forward half
+//!   (every mapped pattern predicate is implied by the target) moved up the
+//!   tree, so a wrong pairing fails at its first unmet predicate instead of
+//!   at every leaf below it. The leaf then keeps only the backward half
+//!   (Iso) and the nested factors.
+//! * **The aggregate exception.** At the leaf, aggregates are replaced by
+//!   tokens of their semantic classes (recursive UDP on the bodies), and
+//!   those tokens can entail more than the raw terms. When any aggregate
+//!   occurs in the pattern, target or ambient predicates (or a target atom
+//!   a homomorphism could bind to), forward checking is off and the leaf
+//!   tests both halves as before.
+//! * **Undo trail.** Bindings are pushed on a trail; backtracking pops back
+//!   to a mark instead of cloning the mapping at every candidate.
 
 use crate::budget::Exhausted;
 use crate::congruence::Congruence;
@@ -19,6 +39,7 @@ use crate::equiv::{sdp_equiv, udp_equiv};
 use crate::expr::{Expr, Pred, VarId};
 use crate::schema::SchemaId;
 use crate::spnf::Term;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Search mode: exact isomorphism (bag semantics) or homomorphism
@@ -104,21 +125,11 @@ fn match_terms_impl(
         return Ok(None);
     }
 
-    let mut cc_target = Congruence::with_recorder(ctx.recorder.clone());
-    cc_target.assert_preds(ambient.iter());
-    cc_target.assert_preds(target.preds.iter());
-
-    let mut m = Matcher {
-        pattern,
-        target,
-        mode,
-        ambient,
-        cc_target,
-        pattern_bound: pattern.vars.iter().map(|(v, s)| (*v, *s)).collect(),
-        target_bound: target.vars.iter().map(|(v, s)| (*v, *s)).collect(),
-        mapping: BTreeMap::new(),
-        used_target_vars: BTreeSet::new(),
-    };
+    let mut m = Matcher::new(ctx, pattern, target, mode, ambient);
+    // Predicates over free variables only are checked once, here.
+    if !m.forward_ok(ctx, None) {
+        return Ok(None);
+    }
     let mut used_atoms = vec![false; target.atoms.len()];
     if m.match_atoms(ctx, 0, &mut used_atoms)? {
         Ok(Some(m.mapping))
@@ -132,44 +143,142 @@ struct Matcher<'a> {
     target: &'a Term,
     mode: MatchMode,
     ambient: &'a [Pred],
+    /// Closure of the ambient and target predicates, shared by atom
+    /// unification and the forward checks.
     cc_target: Congruence,
+    /// Target then ambient predicates: the pool the forward checks consult
+    /// for `≠` and lifted predicates.
+    target_pool: Vec<Pred>,
     pattern_bound: BTreeMap<VarId, SchemaId>,
     target_bound: BTreeMap<VarId, SchemaId>,
     mapping: BTreeMap<VarId, Expr>,
     used_target_vars: BTreeSet<VarId>,
+    /// Undo trail: the pattern variables in the order they were bound.
+    trail: Vec<VarId>,
+    /// The bound pattern variables of each pattern predicate, for forward
+    /// checking. `None` when an aggregate occurs: the forward half then
+    /// stays at the leaf, where aggregates become class tokens.
+    pred_vars: Option<Vec<Vec<VarId>>>,
 }
 
 impl<'a> Matcher<'a> {
+    fn new(
+        ctx: &Ctx,
+        pattern: &'a Term,
+        target: &'a Term,
+        mode: MatchMode,
+        ambient: &'a [Pred],
+    ) -> Self {
+        let mut cc_target = Congruence::with_recorder(ctx.recorder.clone());
+        cc_target.assert_preds(ambient.iter());
+        cc_target.assert_preds(target.preds.iter());
+        let pattern_bound: BTreeMap<VarId, SchemaId> =
+            pattern.vars.iter().map(|(v, s)| (*v, *s)).collect();
+        // A homomorphism may bind a pattern variable to a target atom's
+        // argument, so an aggregate there reaches the mapped predicates too.
+        let mut aggs = Vec::new();
+        for p in pattern.preds.iter().chain(&target.preds).chain(ambient) {
+            collect_aggs_pred(p, &mut aggs);
+        }
+        for a in &target.atoms {
+            collect_aggs_expr(&a.arg, &mut aggs);
+        }
+        let pred_vars = aggs.is_empty().then(|| {
+            pattern
+                .preds
+                .iter()
+                .map(|p| {
+                    p.free_vars()
+                        .into_iter()
+                        .filter(|v| pattern_bound.contains_key(v))
+                        .collect()
+                })
+                .collect()
+        });
+        Matcher {
+            pattern,
+            target,
+            mode,
+            ambient,
+            cc_target,
+            target_pool: target.preds.iter().chain(ambient).cloned().collect(),
+            pattern_bound,
+            target_bound: target.vars.iter().map(|(v, s)| (*v, *s)).collect(),
+            mapping: BTreeMap::new(),
+            used_target_vars: BTreeSet::new(),
+            trail: Vec::new(),
+            pred_vars,
+        }
+    }
+
+    /// Bind pattern variable `v` to `e` (recorded on the trail), then
+    /// forward-check the predicates this binding completes. On `false` the
+    /// binding stays on the trail for the caller to undo.
+    fn bind(&mut self, ctx: &Ctx, v: VarId, e: Expr) -> bool {
+        if let (MatchMode::Iso, Expr::Var(w)) = (self.mode, &e) {
+            self.used_target_vars.insert(*w);
+        }
+        self.trail.push(v);
+        self.mapping.insert(v, e);
+        self.forward_ok(ctx, Some(v))
+    }
+
+    /// Undo every binding made since the trail had length `mark`.
+    fn undo_to(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            if let (MatchMode::Iso, Some(Expr::Var(w))) = (self.mode, self.mapping.remove(&v)) {
+                self.used_target_vars.remove(&w);
+            }
+        }
+    }
+
+    /// Forward checking: every pattern predicate whose last bound variable
+    /// is `v` (or, for `None`, that has no bound variable) must be entailed
+    /// by the target's closure under the current mapping. This is the
+    /// leaf's forward half, run once per predicate as soon as it is ground.
+    fn forward_ok(&mut self, ctx: &Ctx, v: Option<VarId>) -> bool {
+        let Some(pred_vars) = &self.pred_vars else {
+            return true;
+        };
+        for (p, vars) in self.pattern.preds.iter().zip(pred_vars) {
+            let completes = match v {
+                None => vars.is_empty(),
+                Some(v) => vars.contains(&v) && vars.iter().all(|w| self.mapping.contains_key(w)),
+            };
+            if completes {
+                let mapped = p.subst_map(&|w| self.mapping.get(&w).cloned());
+                if !entails_pred(ctx, &mut self.cc_target, &self.target_pool, &mapped) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
     fn match_atoms(
         &mut self,
         ctx: &mut Ctx,
         i: usize,
         used: &mut [bool],
     ) -> Result<bool, Exhausted> {
-        if i == self.pattern.atoms.len() {
+        let (pattern, target) = (self.pattern, self.target);
+        let Some(pat_atom) = pattern.atoms.get(i) else {
             return self.match_leftover_vars(ctx);
-        }
-        let pat_atom = &self.pattern.atoms[i];
-        for j in 0..self.target.atoms.len() {
+        };
+        for (j, t_atom) in target.atoms.iter().enumerate() {
             ctx.budget.tick()?;
-            if self.target.atoms[j].rel != pat_atom.rel {
+            if t_atom.rel != pat_atom.rel || (self.mode == MatchMode::Iso && used[j]) {
                 continue;
             }
-            if self.mode == MatchMode::Iso && used[j] {
-                continue;
-            }
-            let snapshot_map = self.mapping.clone();
-            let snapshot_used = self.used_target_vars.clone();
-            let target_arg = self.target.atoms[j].arg.clone();
-            if self.unify(ctx, &pat_atom.arg.clone(), &target_arg)? {
+            let mark = self.trail.len();
+            if self.unify(ctx, &pat_atom.arg, &t_atom.arg)? {
                 used[j] = true;
                 if self.match_atoms(ctx, i + 1, used)? {
                     return Ok(true);
                 }
                 used[j] = false;
             }
-            self.mapping = snapshot_map;
-            self.used_target_vars = snapshot_used;
+            self.undo_to(mark);
         }
         Ok(false)
     }
@@ -231,19 +340,18 @@ impl<'a> Matcher<'a> {
         }
         for w in candidates {
             ctx.budget.tick()?;
-            self.mapping.insert(v, Expr::Var(w));
-            self.used_target_vars.insert(w);
-            if self.assign_leftover(ctx, leftover, i + 1)? {
+            let mark = self.trail.len();
+            if self.bind(ctx, v, Expr::Var(w)) && self.assign_leftover(ctx, leftover, i + 1)? {
                 return Ok(true);
             }
-            self.mapping.remove(&v);
-            self.used_target_vars.remove(&w);
+            self.undo_to(mark);
         }
         Ok(false)
     }
 
     /// Syntactic/semantic unification of a pattern expression against a
-    /// target expression under the current partial mapping.
+    /// target expression under the current partial mapping. On `false`
+    /// the caller undoes the bindings made since its trail mark.
     fn unify(&mut self, ctx: &mut Ctx, p: &Expr, t: &Expr) -> Result<bool, Exhausted> {
         ctx.budget.tick()?;
         // Fully instantiated pattern: decide by congruence.
@@ -257,32 +365,21 @@ impl<'a> Matcher<'a> {
             return Ok(self.exprs_equal(ctx, &p_inst, t));
         }
         match (&p_inst, t) {
-            (Expr::Var(v), _) if unbound.contains(v) => match self.mode {
-                MatchMode::Hom => {
-                    self.mapping.insert(*v, t.clone());
-                    Ok(true)
+            (Expr::Var(v), _) if unbound.contains(v) => match (self.mode, t) {
+                (MatchMode::Hom, _) => Ok(self.bind(ctx, *v, t.clone())),
+                (MatchMode::Iso, Expr::Var(w))
+                    if self.target_bound.get(w) == self.pattern_bound.get(v)
+                        && !self.used_target_vars.contains(w) =>
+                {
+                    Ok(self.bind(ctx, *v, t.clone()))
                 }
-                MatchMode::Iso => {
-                    if let Expr::Var(w) = t {
-                        let schema_ok = match (self.pattern_bound.get(v), self.target_bound.get(w))
-                        {
-                            (Some(a), Some(b)) => a == b,
-                            _ => false,
-                        };
-                        if schema_ok && !self.used_target_vars.contains(w) {
-                            self.mapping.insert(*v, Expr::Var(*w));
-                            self.used_target_vars.insert(*w);
-                            return Ok(true);
-                        }
-                    }
-                    Ok(false)
-                }
+                (MatchMode::Iso, _) => Ok(false),
             },
             (Expr::Attr(pb, pa), Expr::Attr(tb, ta)) if pa == ta => self.unify(ctx, pb, tb),
             (Expr::App(pf, pargs), Expr::App(tf, targs))
                 if pf == tf && pargs.len() == targs.len() =>
             {
-                for (a, b) in pargs.clone().iter().zip(targs.clone().iter()) {
+                for (a, b) in pargs.iter().zip(targs) {
                     if !self.unify(ctx, a, b)? {
                         return Ok(false);
                     }
@@ -293,7 +390,7 @@ impl<'a> Matcher<'a> {
                 if pf.len() == tf.len()
                     && pf.iter().map(|(n, _)| n).eq(tf.iter().map(|(n, _)| n)) =>
             {
-                for ((_, a), (_, b)) in pf.clone().iter().zip(tf.clone().iter()) {
+                for ((_, a), (_, b)) in pf.iter().zip(tf) {
                     if !self.unify(ctx, a, b)? {
                         return Ok(false);
                     }
@@ -301,8 +398,7 @@ impl<'a> Matcher<'a> {
                 Ok(true)
             }
             (Expr::Concat(pl, ps, pr), Expr::Concat(tl, ts, tr)) if ps == ts => {
-                Ok(self.unify(ctx, &pl.clone(), &tl.clone())?
-                    && self.unify(ctx, &pr.clone(), &tr.clone())?)
+                Ok(self.unify(ctx, pl, tl)? && self.unify(ctx, pr, tr)?)
             }
             // Structured pattern vs differently-shaped target: enumerate
             // bindings for one unbound variable and retry (e.g. pattern
@@ -322,13 +418,11 @@ impl<'a> Matcher<'a> {
                     .collect();
                 for w in candidates {
                     ctx.budget.tick()?;
-                    self.mapping.insert(v, Expr::Var(w));
-                    self.used_target_vars.insert(w);
-                    if self.unify(ctx, &p_inst, t)? {
+                    let mark = self.trail.len();
+                    if self.bind(ctx, v, Expr::Var(w)) && self.unify(ctx, &p_inst, t)? {
                         return Ok(true);
                     }
-                    self.mapping.remove(&v);
-                    self.used_target_vars.remove(&w);
+                    self.undo_to(mark);
                 }
                 Ok(false)
             }
@@ -360,103 +454,11 @@ impl<'a> Matcher<'a> {
         let mapping = self.mapping.clone();
         let lookup = move |v: VarId| mapping.get(&v).cloned();
 
-        let mapped_preds: Vec<Pred> = self
-            .pattern
-            .preds
-            .iter()
-            .map(|p| p.subst_map(&lookup))
-            .collect();
-
-        // Uninterpreted aggregates are compared *semantically*: congruent
-        // bodies (recursive UDP under the ambient context) collapse to the
-        // same token before congruence closure runs (Sec 5.2's "aggregate
-        // functions are treated as uninterpreted functions", strengthened to
-        // equate provably equivalent argument queries).
-        let mut agg_list: Vec<Expr> = Vec::new();
-        for p in mapped_preds
-            .iter()
-            .chain(self.target.preds.iter())
-            .chain(self.ambient.iter())
-        {
-            collect_aggs_pred(p, &mut agg_list);
-        }
-        let (mapped_preds, target_preds, ambient_preds) = if agg_list.is_empty() {
-            (
-                mapped_preds,
-                self.target.preds.clone(),
-                self.ambient.to_vec(),
-            )
-        } else {
-            // Aggregate-body equivalence may depend on the equalities that
-            // hold in this term (e.g. a group-key filter): extend the ambient
-            // context with the target's own predicates. Predicates that
-            // themselves mention aggregates are dropped — they cannot help
-            // compare aggregate *bodies* and would make the recursion (and
-            // the memo keys) grow without bound.
-            let agg_free = |p: &Pred| {
-                let mut tmp = Vec::new();
-                collect_aggs_pred(p, &mut tmp);
-                tmp.is_empty()
-            };
-            let mut agg_ambient: Vec<Pred> = self
-                .ambient
-                .iter()
-                .filter(|p| agg_free(p))
-                .cloned()
-                .collect();
-            agg_ambient.extend(self.target.preds.iter().filter(|p| agg_free(p)).cloned());
-            let classes = agg_classes(ctx, agg_list, &agg_ambient)?;
-            (
-                mapped_preds
-                    .iter()
-                    .map(|p| replace_aggs_pred(p, &classes))
-                    .collect(),
-                self.target
-                    .preds
-                    .iter()
-                    .map(|p| replace_aggs_pred(p, &classes))
-                    .collect(),
-                self.ambient
-                    .iter()
-                    .map(|p| replace_aggs_pred(p, &classes))
-                    .collect(),
-            )
-        };
-
-        // Forward: every mapped pattern predicate is implied by the target's
-        // closure.
-        let mut cc_fwd = Congruence::with_recorder(ctx.recorder.clone());
-        cc_fwd.assert_preds(ambient_preds.iter());
-        cc_fwd.assert_preds(target_preds.iter());
-        let target_pool: Vec<Pred> = target_preds
-            .iter()
-            .chain(ambient_preds.iter())
-            .cloned()
-            .collect();
-        for p in &mapped_preds {
-            if !entails_pred(ctx, &mut cc_fwd, &target_pool, p) {
-                if std::env::var("UDP_DEBUG").is_ok() {
-                    eprintln!("forward pred fails: {p}\n  pool: {target_pool:?}");
-                }
-                return Ok(false);
-            }
-        }
-        // Backward (Iso only): every target predicate is implied by the
-        // closure of the mapped pattern predicates.
-        if self.mode == MatchMode::Iso {
-            let mut cc_back = Congruence::with_recorder(ctx.recorder.clone());
-            cc_back.assert_preds(ambient_preds.iter());
-            cc_back.assert_preds(mapped_preds.iter());
-            let back_pool: Vec<Pred> = mapped_preds
-                .iter()
-                .chain(ambient_preds.iter())
-                .cloned()
-                .collect();
-            for p in &target_preds {
-                if !entails_pred(ctx, &mut cc_back, &back_pool, p) {
-                    return Ok(false);
-                }
-            }
+        // Forward checking has already shown the forward half on the way
+        // down; a homomorphism then has no predicate left to check here.
+        let forward = self.pred_vars.is_none();
+        if (forward || self.mode == MatchMode::Iso) && !self.verify_preds(ctx, &lookup, forward)? {
+            return Ok(false);
         }
 
         // Nested factors: recursive equivalence under the combined context.
@@ -479,6 +481,80 @@ impl<'a> Matcher<'a> {
             ctx.free_schemas.remove(&v);
         }
         nested
+    }
+
+    /// The predicate halves of the leaf test: forward (every mapped pattern
+    /// predicate is implied by the target's closure) when `forward`, and
+    /// backward (Iso only: every target predicate is implied by the closure
+    /// of the mapped pattern predicates).
+    fn verify_preds(
+        &self,
+        ctx: &mut Ctx,
+        lookup: &dyn Fn(VarId) -> Option<Expr>,
+        forward: bool,
+    ) -> Result<bool, Exhausted> {
+        let mapped_preds: Vec<Pred> = self
+            .pattern
+            .preds
+            .iter()
+            .map(|p| p.subst_map(lookup))
+            .collect();
+
+        // Uninterpreted aggregates are compared *semantically*: congruent
+        // bodies (recursive UDP under the ambient context) collapse to the
+        // same token before congruence closure runs (Sec 5.2's "aggregate
+        // functions are treated as uninterpreted functions", strengthened to
+        // equate provably equivalent argument queries).
+        let mut agg_list: Vec<Expr> = Vec::new();
+        for p in mapped_preds
+            .iter()
+            .chain(self.target.preds.iter())
+            .chain(self.ambient.iter())
+        {
+            collect_aggs_pred(p, &mut agg_list);
+        }
+        let (mapped_preds, target_preds, ambient_preds): (Vec<Pred>, Cow<[Pred]>, Cow<[Pred]>) =
+            if agg_list.is_empty() {
+                (
+                    mapped_preds,
+                    Cow::Borrowed(&self.target.preds),
+                    Cow::Borrowed(self.ambient),
+                )
+            } else {
+                // Aggregate-body equivalence may depend on the equalities that
+                // hold in this term (e.g. a group-key filter): extend the
+                // ambient context with the target's own predicates.
+                // Predicates that themselves mention aggregates are dropped —
+                // they cannot help compare aggregate *bodies* and would make
+                // the recursion (and the memo keys) grow without bound.
+                let agg_free = |p: &Pred| {
+                    let mut tmp = Vec::new();
+                    collect_aggs_pred(p, &mut tmp);
+                    tmp.is_empty()
+                };
+                let mut agg_ambient: Vec<Pred> = self
+                    .ambient
+                    .iter()
+                    .filter(|p| agg_free(p))
+                    .cloned()
+                    .collect();
+                agg_ambient.extend(self.target.preds.iter().filter(|p| agg_free(p)).cloned());
+                let classes = agg_classes(ctx, agg_list, &agg_ambient)?;
+                let replace = |ps: &[Pred]| -> Vec<Pred> {
+                    ps.iter().map(|p| replace_aggs_pred(p, &classes)).collect()
+                };
+                (
+                    replace(&mapped_preds),
+                    Cow::Owned(replace(&self.target.preds)),
+                    Cow::Owned(replace(self.ambient)),
+                )
+            };
+
+        if forward && !all_implied(ctx, &target_preds, &ambient_preds, &mapped_preds) {
+            return Ok(false);
+        }
+        Ok(self.mode == MatchMode::Hom
+            || all_implied(ctx, &mapped_preds, &ambient_preds, &target_preds))
     }
 
     fn verify_nested(
@@ -509,6 +585,16 @@ impl<'a> Matcher<'a> {
         }
         Ok(true)
     }
+}
+
+/// Is every predicate in `goals` implied by the congruence closure of
+/// `premises` and `ambient`?
+fn all_implied(ctx: &Ctx, premises: &[Pred], ambient: &[Pred], goals: &[Pred]) -> bool {
+    let mut cc = Congruence::with_recorder(ctx.recorder.clone());
+    cc.assert_preds(ambient.iter());
+    cc.assert_preds(premises.iter());
+    let pool: Vec<Pred> = premises.iter().chain(ambient).cloned().collect();
+    goals.iter().all(|p| entails_pred(ctx, &mut cc, &pool, p))
 }
 
 /// Collect aggregate subexpressions (outermost occurrences) of an expression.
@@ -718,8 +804,10 @@ mod tests {
     use super::*;
     use crate::budget::Budget;
     use crate::constraints::ConstraintSet;
+    use crate::proof::Prng;
     use crate::schema::{Catalog, RelId, Schema, Ty};
     use crate::spnf::Atom;
+    use crate::uexpr::UExpr;
 
     fn v(i: u32) -> VarId {
         VarId(i)
@@ -1021,5 +1109,240 @@ mod tests {
         assert!(entails_pred(&ctx, &mut cc, &[], &p));
         let q = Pred::ne(Expr::int(1), Expr::int(1));
         assert!(!entails_pred(&ctx, &mut cc, &[], &q));
+    }
+
+    // ------------------------------------------------ pruned vs brute force
+
+    /// A random operand over `vars` (bound and free): an attribute, a
+    /// constant, or (rarely) a correlated aggregate `sum(Σ_z R(z) × [z.a = x.k])`.
+    fn random_operand(rng: &mut Prng, vars: &[u32], next_binder: &mut u32) -> Expr {
+        let x = v(vars[rng.below(vars.len())]);
+        match rng.below(12) {
+            0..=6 => Expr::var_attr(x, ["a", "k"][rng.below(2)]),
+            7..=10 => Expr::int(rng.below(2) as i64),
+            _ => {
+                *next_binder += 1;
+                let z = v(*next_binder);
+                let body = UExpr::mul(
+                    UExpr::rel(RelId(0), Expr::Var(z)),
+                    UExpr::eq(Expr::var_attr(z, "a"), Expr::var_attr(x, "k")),
+                );
+                Expr::Agg(
+                    "sum".into(),
+                    Box::new(UExpr::Sum(z, SchemaId(0), Box::new(body))),
+                )
+            }
+        }
+    }
+
+    fn random_pred(rng: &mut Prng, vars: &[u32], next_binder: &mut u32) -> Pred {
+        let a = random_operand(rng, vars, next_binder);
+        let b = random_operand(rng, vars, next_binder);
+        if rng.below(3) == 0 {
+            Pred::ne(a, b)
+        } else {
+            Pred::eq(a, b)
+        }
+    }
+
+    /// A random term over bound variables `base+1 ..= base+n` and the free
+    /// variable `t0`: at most five atoms, up to four `=`/`<>` predicates.
+    /// Variables may occur in predicates only.
+    fn random_term(rng: &mut Prng, base: u32, next_binder: &mut u32) -> Term {
+        let bound: Vec<u32> = (1..=1 + rng.below(4) as u32).map(|i| base + i).collect();
+        let mut with_free = bound.clone();
+        with_free.push(0);
+        let atoms = (0..rng.below(6))
+            .map(|_| {
+                let x = if rng.below(8) == 0 {
+                    0
+                } else {
+                    bound[rng.below(bound.len())]
+                };
+                Atom::new(RelId(rng.below(2) as u32), Expr::Var(v(x)))
+            })
+            .collect();
+        let preds = (0..rng.below(5))
+            .map(|_| random_pred(rng, &with_free, next_binder))
+            .collect();
+        Term {
+            vars: bound.iter().map(|&i| (v(i), SchemaId(0))).collect(),
+            preds,
+            squash: None,
+            negation: None,
+            atoms,
+        }
+    }
+
+    fn shuffle<T>(rng: &mut Prng, xs: &mut [T]) {
+        for i in (1..xs.len()).rev() {
+            xs.swap(i, rng.below(i + 1));
+        }
+    }
+
+    /// A copy of `t` with its bound variables permuted onto `base+1 ..`,
+    /// atoms and predicates reordered, and with probability ½ one mutation:
+    /// a predicate dropped, added or flipped between `=` and `<>`, or an
+    /// atom moved to the other relation.
+    fn renamed_variant(rng: &mut Prng, t: &Term, base: u32, next_binder: &mut u32) -> Term {
+        let mut images: Vec<u32> = (1..=t.vars.len() as u32).map(|i| base + i).collect();
+        shuffle(rng, &mut images);
+        let renaming: BTreeMap<VarId, Expr> = t
+            .vars
+            .iter()
+            .zip(&images)
+            .map(|((x, _), &i)| (*x, Expr::Var(v(i))))
+            .collect();
+        let lookup = |x: VarId| renaming.get(&x).cloned();
+        let mut out = Term {
+            vars: images.iter().map(|&i| (v(i), SchemaId(0))).collect(),
+            preds: t.preds.iter().map(|p| p.subst_map(&lookup)).collect(),
+            squash: None,
+            negation: None,
+            atoms: t
+                .atoms
+                .iter()
+                .map(|a| Atom::new(a.rel, a.arg.subst_map(&lookup)))
+                .collect(),
+        };
+        shuffle(rng, &mut out.preds);
+        shuffle(rng, &mut out.atoms);
+        if rng.below(2) == 0 {
+            let mut vars: Vec<u32> = images.clone();
+            vars.push(0);
+            match rng.below(4) {
+                0 if !out.preds.is_empty() => {
+                    out.preds.remove(rng.below(out.preds.len()));
+                }
+                1 if !out.preds.is_empty() => {
+                    let i = rng.below(out.preds.len());
+                    out.preds[i] = match &out.preds[i] {
+                        Pred::Eq(a, b) => Pred::ne(a.clone(), b.clone()),
+                        Pred::Ne(a, b) => Pred::eq(a.clone(), b.clone()),
+                        p => p.clone(),
+                    };
+                }
+                2 if !out.atoms.is_empty() => {
+                    let i = rng.below(out.atoms.len());
+                    out.atoms[i].rel = RelId(1 - out.atoms[i].rel.0);
+                }
+                _ => out.preds.push(random_pred(rng, &vars, next_binder)),
+            }
+        }
+        out
+    }
+
+    /// Test-only reference: try every assignment of the pattern's bound
+    /// variables (Iso: injective into the target's bound variables; Hom: into
+    /// those and the free variable `t0`), keep the ones whose mapped atoms
+    /// occur in the target (Iso: as a multiset), and decide each by the leaf
+    /// `verify` with both predicate halves. The generated terms equate no
+    /// whole tuples, so atom arguments compare syntactically.
+    fn brute_force(
+        ctx: &mut Ctx,
+        pattern: &Term,
+        target: &Term,
+        mode: MatchMode,
+        ambient: &[Pred],
+    ) -> bool {
+        let mut m = Matcher::new(ctx, pattern, target, mode, ambient);
+        m.pred_vars = None;
+        let mut cands: Vec<VarId> = target.vars.iter().map(|(w, _)| *w).collect();
+        if mode == MatchMode::Hom {
+            cands.push(v(0));
+        }
+        let sorted = |mut atoms: Vec<(RelId, Expr)>| {
+            atoms.sort();
+            atoms
+        };
+        let target_atoms = sorted(
+            target
+                .atoms
+                .iter()
+                .map(|a| (a.rel, a.arg.clone()))
+                .collect(),
+        );
+        let n = pattern.vars.len();
+        let mut digits = vec![0usize; n];
+        loop {
+            let image: Vec<VarId> = digits.iter().map(|&d| cands[d]).collect();
+            let injective = image.iter().collect::<BTreeSet<_>>().len() == n;
+            if mode == MatchMode::Hom || injective {
+                let mapping: BTreeMap<VarId, Expr> = pattern
+                    .vars
+                    .iter()
+                    .zip(&image)
+                    .map(|((x, _), w)| (*x, Expr::Var(*w)))
+                    .collect();
+                let mapped = sorted(
+                    pattern
+                        .atoms
+                        .iter()
+                        .map(|a| (a.rel, a.arg.subst_map(&|x| mapping.get(&x).cloned())))
+                        .collect(),
+                );
+                let atoms_ok = match mode {
+                    MatchMode::Iso => mapped == target_atoms,
+                    MatchMode::Hom => mapped.iter().all(|a| target_atoms.contains(a)),
+                };
+                if atoms_ok {
+                    m.mapping = mapping;
+                    m.used_target_vars = match mode {
+                        MatchMode::Iso => image.iter().copied().collect(),
+                        MatchMode::Hom => BTreeSet::new(),
+                    };
+                    if m.verify(ctx).unwrap() {
+                        return true;
+                    }
+                }
+            }
+            // Next assignment (odometer over the candidate list).
+            let Some(i) = (0..n).find(|&i| digits[i] + 1 < cands.len()) else {
+                return false;
+            };
+            digits[i] += 1;
+            digits[..i].iter_mut().for_each(|d| *d = 0);
+        }
+    }
+
+    /// The pruned search decides exactly what the brute-force reference
+    /// decides, in both modes, on seeded random terms with `=`/`<>`
+    /// predicates, free variables and some aggregates (which switch forward
+    /// checking off).
+    #[test]
+    fn pruned_search_agrees_with_brute_force() {
+        let (cat, cs) = setup();
+        let mut rng = Prng(12);
+        let mut found = BTreeMap::new();
+        for case in 0..400 {
+            let mut next_binder = 40;
+            let pattern = random_term(&mut rng, 10, &mut next_binder);
+            let target = if rng.below(3) == 0 {
+                random_term(&mut rng, 20, &mut next_binder)
+            } else {
+                renamed_variant(&mut rng, &pattern, 20, &mut next_binder)
+            };
+            let ambient = match rng.below(4) {
+                0 => vec![random_pred(&mut rng, &[0], &mut next_binder)],
+                _ => vec![],
+            };
+            for mode in [MatchMode::Iso, MatchMode::Hom] {
+                let mut ctx = Ctx::new(&cat, &cs).with_budget(Budget::unlimited());
+                ctx.gen.reserve(v(next_binder));
+                ctx.declare_free(v(0), SchemaId(0));
+                let pruned = match_terms(&mut ctx, &pattern, &target, mode, &ambient)
+                    .unwrap()
+                    .is_some();
+                let reference = brute_force(&mut ctx, &pattern, &target, mode, &ambient);
+                assert_eq!(
+                    pruned, reference,
+                    "case {case}, {mode:?}: pruned {pruned}, brute force {reference}\n  \
+                     pattern {pattern}\n  target {target}\n  ambient {ambient:?}"
+                );
+                *found.entry((mode == MatchMode::Iso, pruned)).or_insert(0) += 1;
+            }
+        }
+        // Both answers occur in both modes, so the agreement has teeth.
+        assert_eq!(found.len(), 4, "{found:?}");
     }
 }

@@ -40,10 +40,10 @@ impl CheckReport {
 
 /// Deterministic splitmix-style PRNG (keeps `rand` out of the library).
 #[derive(Debug, Clone)]
-struct Prng(u64);
+pub(crate) struct Prng(pub(crate) u64);
 
 impl Prng {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -51,7 +51,7 @@ impl Prng {
         z ^ (z >> 31)
     }
 
-    fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next() % n.max(1) as u64) as usize
     }
 }

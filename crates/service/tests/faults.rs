@@ -11,8 +11,8 @@
 //!   order-preserved;
 //! * the circuit breaker trips on consecutive faults and is surfaced in
 //!   `ServiceStats`;
-//! * a deterministic step-cap timeout on the `c39_timeout_large_join`
-//!   corpus shape maps to `AbortReason::BudgetExhausted` — distinct from
+//! * a deterministic step-cap timeout on a goal that still exhausts the
+//!   matching search maps to `AbortReason::BudgetExhausted` — distinct from
 //!   `Panicked` — and is never cached.
 
 use std::time::Duration;
@@ -232,23 +232,29 @@ fn worker_panics_are_supervised_and_worker_invariant() {
     assert!(recorder.snapshot().counter(Counter::GoalAborted) >= GOAL_LINES.len() as u64);
 }
 
-/// The `c39_timeout_large_join` regression: a steps-only budget trips
+/// The step-cap regression: a steps-only budget trips
 /// deterministically, the verdict maps to `BudgetExhausted` (never
 /// `Panicked`), and the timeout is not cached — two identical runs both
 /// re-execute and agree.
 #[test]
 fn step_cap_timeout_is_budget_exhausted_deterministic_and_uncached() {
     const JOIN_DDL: &str = "schema emp_s(empno:int, deptno:int, sal:int);\ntable emp(emp_s);\n";
+    // The same 9-way cyclic self-join on both sides, with one extra `<>` on
+    // the left only: every pairing passes the forward predicate checks and
+    // fails only the leaf's backward check, so the search visits them all
+    // (773,578 steps without a cap). c39, whose cycles run over different
+    // columns, is decided in 146 steps and cannot serve here.
     const GOAL: &str = "SELECT a1.sal AS v FROM emp a1, emp a2, emp a3, emp a4, emp a5, \
          emp a6, emp a7, emp a8, emp a9 \
          WHERE a1.deptno = a2.deptno AND a2.deptno = a3.deptno AND a3.deptno = a4.deptno \
          AND a4.deptno = a5.deptno AND a5.deptno = a6.deptno AND a6.deptno = a7.deptno \
          AND a7.deptno = a8.deptno AND a8.deptno = a9.deptno AND a9.deptno = a1.deptno \
+         AND a1.sal <> a2.sal \
          == SELECT b1.sal AS v FROM emp b1, emp b2, emp b3, emp b4, emp b5, \
          emp b6, emp b7, emp b8, emp b9 \
-         WHERE b1.empno = b2.empno AND b2.empno = b3.empno AND b3.empno = b4.empno \
-         AND b4.empno = b5.empno AND b5.empno = b6.empno AND b6.empno = b7.empno \
-         AND b7.empno = b8.empno AND b8.empno = b9.empno AND b9.empno = b1.empno";
+         WHERE b1.deptno = b2.deptno AND b2.deptno = b3.deptno AND b3.deptno = b4.deptno \
+         AND b4.deptno = b5.deptno AND b5.deptno = b6.deptno AND b6.deptno = b7.deptno \
+         AND b7.deptno = b8.deptno AND b8.deptno = b9.deptno AND b9.deptno = b1.deptno";
     let config = SessionConfig {
         workers: 1,
         cache_capacity: 64,

@@ -7,7 +7,7 @@ use udp_corpus::{all_rules, run_rule, Expectation, Source};
 
 fn budget_for(e: Expectation) -> Budget {
     match e {
-        // The deliberate-timeout pair exhausts any budget; keep CI fast.
+        // A timeout-expected rule would exhaust any budget; keep CI fast.
         Expectation::Timeout => Budget::steps(150_000),
         _ => Budget::new(Some(20_000_000), Some(std::time::Duration::from_secs(30))),
     }
@@ -200,4 +200,24 @@ fn count_bug_not_proved_and_refuted() {
         udp_eval::SearchResult::Refuted(_) => {}
         other => panic!("expected refutation, got {other:?}"),
     }
+}
+
+/// c39's two 9-way cyclic self-joins (equated on `deptno` against `empno`):
+/// a matcher that tests predicates only at its leaves tries every pairing.
+/// Forward checking rejects a pairing as soon as one cycle equality fails,
+/// so the goal is decided well inside a thousand steps.
+#[test]
+fn large_cyclic_join_not_proved_within_a_thousand_steps() {
+    let rule = all_rules()
+        .into_iter()
+        .find(|r| r.name == "calcite/timeout-large-join")
+        .expect("c39 in corpus");
+    let out = run_rule(
+        &rule,
+        DecideConfig {
+            budget: Some(Budget::steps(1_000)),
+            ..Default::default()
+        },
+    );
+    assert_eq!(out.observed, Expectation::NotProved, "{}", out.detail);
 }
