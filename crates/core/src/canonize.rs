@@ -28,6 +28,7 @@ use crate::ctx::Ctx;
 use crate::expr::{Expr, Pred, VarId};
 use crate::spnf::{Nf, Term};
 use crate::trace::{Rule, StepData};
+use crate::uexpr::UExpr;
 use udp_obs::Counter;
 
 /// Canonize every term of `nf`. `ambient` carries equality predicates that
@@ -242,8 +243,12 @@ pub fn build_congruence(ctx: &Ctx, t: &Term, ambient: &[Pred]) -> Congruence {
     cc
 }
 
-/// Resolve `Attr(Concat(..))` projections using catalog schemas.
+/// Resolve `Attr(Concat(..))` projections using catalog schemas. A term in
+/// which nothing can resolve (see [`has_resolvable`]) is returned as it is.
 fn resolve_term_attrs(ctx: &Ctx, t: Term) -> Term {
+    if !term_has_resolvable(&t) {
+        return t;
+    }
     let catalog = ctx.catalog;
     let left_has = move |sid: crate::schema::SchemaId, attr: &str| {
         let s = catalog.schema(sid);
@@ -278,6 +283,49 @@ fn resolve_term_attrs(ctx: &Ctx, t: Term) -> Term {
             .map(|a| crate::spnf::Atom::new(a.rel, a.arg.clone().resolve_attr_with(&left_has)))
             .collect(),
     }
+}
+
+/// Can [`Expr::resolve_attr_with`] rewrite `e`? Only a projection whose
+/// base is (or resolves to) a record or concat changes; everything else is
+/// rebuilt as it was, aggregate bodies included.
+fn has_resolvable(e: &Expr) -> bool {
+    match e {
+        Expr::Var(_) | Expr::Const(_) => false,
+        Expr::Attr(base, _) => {
+            matches!(**base, Expr::Record(_) | Expr::Concat(..)) || has_resolvable(base)
+        }
+        Expr::App(_, args) => args.iter().any(has_resolvable),
+        Expr::Agg(_, body) => uexpr_has_resolvable(body),
+        Expr::Record(fields) => fields.iter().any(|(_, e)| has_resolvable(e)),
+        Expr::Concat(l, _, r) => has_resolvable(l) || has_resolvable(r),
+    }
+}
+
+fn pred_has_resolvable(p: &Pred) -> bool {
+    match p {
+        Pred::Eq(a, b) | Pred::Ne(a, b) => has_resolvable(a) || has_resolvable(b),
+        Pred::Lift { args, .. } => args.iter().any(has_resolvable),
+    }
+}
+
+fn uexpr_has_resolvable(u: &UExpr) -> bool {
+    match u {
+        UExpr::Zero | UExpr::One => false,
+        UExpr::Add(a, b) | UExpr::Mul(a, b) => uexpr_has_resolvable(a) || uexpr_has_resolvable(b),
+        UExpr::Pred(p) => pred_has_resolvable(p),
+        UExpr::Rel(_, e) => has_resolvable(e),
+        UExpr::Squash(x) | UExpr::Not(x) | UExpr::Sum(_, _, x) => uexpr_has_resolvable(x),
+    }
+}
+
+/// Does [`has_resolvable`] hold anywhere in `t`, nested factors included?
+fn term_has_resolvable(t: &Term) -> bool {
+    t.preds.iter().any(pred_has_resolvable)
+        || t.atoms.iter().any(|a| has_resolvable(&a.arg))
+        || [&t.squash, &t.negation]
+            .into_iter()
+            .flatten()
+            .any(|nf| nf.terms.iter().any(term_has_resolvable))
 }
 
 fn map_nf_exprs(nf: &Nf, f: &dyn Fn(&Expr) -> Expr) -> Nf {

@@ -14,52 +14,217 @@
 //! replaced by numbered placeholders; the actual free variables become
 //! congruence children, so `sum(… y₁ …) ≈ sum(… y₂ …)` follows from
 //! `y₁ ≈ y₂`.
+//!
+//! **Layout.** A closure is built several times per goal for a dozen or so
+//! nodes, so building one is kept cheap:
+//!
+//! * Operator payloads are interned per closure to integer ids: attribute,
+//!   function and record-field names share one name table, constants,
+//!   aggregate (name, skeleton) pairs and record field lists have a table
+//!   each. [`Op`] is therefore `Copy`, and equal ids mean equal payloads.
+//! * Nodes live in a `Vec` indexed by node id. Each node carries its
+//!   union-find link, its class's size, and the ends of its class's member
+//!   and parent lists; child ids sit in one shared pool. A class's members
+//!   are a linked list threaded through the nodes and its parents one
+//!   through a shared link pool, so a merge splices the absorbed class's
+//!   lists onto the survivor's in O(1) and keeps their order (survivor's
+//!   first).
+//! * The signature table keys `(op, child roots)`; for arity ≤ 2 the key is
+//!   inline, so probing it allocates nothing. It hashes with a small
+//!   multiplicative hasher ([`MulHasher`]).
+//! * Each node keeps the source expression that created it (witnesses are
+//!   reported as expressions); free-variable sets are computed from it on
+//!   demand by the witness queries.
+//!
+//! **Theory propagation.** The tuple-theory pass (record/concat
+//! injectivity, record/projection alignment) only acts on classes holding a
+//! record or concat node. It is skipped until the first such node is
+//! interned and runs after every intern and merge from then on, so closures
+//! without tuple nodes — most of them — never pay for it.
 
 use crate::expr::{Expr, Pred, Value, VarId};
 use crate::schema::SchemaId;
 use crate::uexpr::UExpr;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use udp_obs::{Counter, Recorder};
 
-/// Node operator: the un-curried head symbol of an expression.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// End of a linked list / absent child.
+const NONE: u32 = u32::MAX;
+
+/// Word-at-a-time multiplicative hasher (the Fx scheme: rotate, xor,
+/// multiply by an odd constant). The tables it serves are small, keyed by
+/// integer ids and short names, and never exposed to untrusted keys.
+#[derive(Debug, Default, Clone, Copy)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        let rest = chunks.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.add(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 59));
+    }
+    fn write_u8(&mut self, i: u8) {
+        self.add(i.into());
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
+/// Node operator: the un-curried head symbol of an expression, with its
+/// payload interned (see the module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Op {
     Var(VarId),
-    Const(Value),
-    Attr(String),
-    App(String),
-    /// Aggregate: name + alpha-normalized body skeleton (free variables
-    /// replaced by placeholders in first-occurrence order).
-    Agg(String, Box<UExpr>),
-    Record(Vec<String>),
+    /// Index into the constant table.
+    Const(u32),
+    /// Name id.
+    Attr(u32),
+    /// Name id.
+    App(u32),
+    /// Index into the aggregate table: name + alpha-normalized body skeleton
+    /// (free variables replaced by placeholders in first-occurrence order).
+    Agg(u32),
+    /// Index into the field-list table (field name ids in order).
+    Record(u32),
     Concat(SchemaId),
 }
 
-#[derive(Debug, Clone)]
+/// A node's canonical child ids in a signature key: inline for arity ≤ 2
+/// (padded with [`NONE`]), boxed beyond.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Kids {
+    Few([u32; 2]),
+    Many(Box<[u32]>),
+}
+
+impl Kids {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Kids::Few(k) => {
+                let n = k.iter().take_while(|&&c| c != NONE).count();
+                &k[..n]
+            }
+            Kids::Many(k) => k,
+        }
+    }
+}
+
+/// One node and its union-find, member-list and parent-list slots.
+#[derive(Debug)]
 struct Node {
     op: Op,
-    children: Vec<usize>,
-    /// A representative source expression for reporting / witness search.
+    /// Start of the node's children in [`Congruence::kids`].
+    first: u32,
+    arity: u32,
+    /// Union-find parent link.
+    uf: u32,
+    /// Member count of the class (valid at roots).
+    size: u32,
+    /// Next member of the same class; a class's list starts at its root.
+    next_member: u32,
+    /// Last member of the class (valid at roots).
+    last_member: u32,
+    /// Head and tail (valid at roots) of the class's parent list: the
+    /// nodes that have a member of the class as a child, threaded through
+    /// [`Congruence::parent_links`] as `(node, next)`.
+    parent_head: u32,
+    parent_tail: u32,
+    /// The source expression that created the node, for witnesses.
     expr: Expr,
-    /// Free variables occurring anywhere below this node.
-    vars: BTreeSet<VarId>,
+}
+
+/// Interned operator payloads of one closure.
+#[derive(Debug, Default)]
+struct Symbols {
+    names: FastMap<String, u32>,
+    consts: FastMap<Value, u32>,
+    const_values: Vec<Value>,
+    aggs: FastMap<(u32, UExpr), u32>,
+    records: FastMap<Vec<u32>, u32>,
+    record_fields: Vec<Vec<u32>>,
+}
+
+impl Symbols {
+    fn name(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.names.get(s) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.insert(s.to_string(), id);
+        id
+    }
+
+    fn constant(&mut self, c: &Value) -> u32 {
+        if let Some(&id) = self.consts.get(c) {
+            return id;
+        }
+        let id = self.const_values.len() as u32;
+        self.const_values.push(c.clone());
+        self.consts.insert(c.clone(), id);
+        id
+    }
+
+    fn agg(&mut self, name: u32, skeleton: UExpr) -> u32 {
+        let next = self.aggs.len() as u32;
+        *self.aggs.entry((name, skeleton)).or_insert(next)
+    }
+
+    fn record(&mut self, fields: Vec<u32>) -> u32 {
+        if let Some(&id) = self.records.get(&fields) {
+            return id;
+        }
+        let id = self.record_fields.len() as u32;
+        self.record_fields.push(fields.clone());
+        self.records.insert(fields, id);
+        id
+    }
 }
 
 /// Congruence closure engine. Build one per SPNF term, assert its equality
 /// predicates, then query.
 #[derive(Debug, Default)]
 pub struct Congruence {
+    syms: Symbols,
+    /// Nodes indexed by node id.
     nodes: Vec<Node>,
-    /// Union-find parent links.
-    uf: Vec<usize>,
+    /// Child node ids of every node, `nodes[i].first..+arity`.
+    kids: Vec<u32>,
+    /// The links of every class's parent list, `(node, next)`.
+    parent_links: Vec<(u32, u32)>,
     /// Hash-consing / congruence signatures: (op, canonical child roots).
-    sig: HashMap<(Op, Vec<usize>), usize>,
-    /// Application nodes that have a member of the keyed class as a child.
-    parents: HashMap<usize, Vec<usize>>,
-    /// Members of each class (keyed by root).
-    members: HashMap<usize, Vec<usize>>,
+    sig: FastMap<(Op, Kids), u32>,
+    /// Constant nodes in creation order.
+    const_nodes: Vec<u32>,
+    /// Has a record or concat node been interned? Until then the
+    /// tuple-theory pass has nothing to act on and is skipped.
+    tuple_nodes: bool,
     /// Pending merges discovered during congruence propagation.
-    worklist: Vec<(usize, usize)>,
+    worklist: Vec<(u32, u32)>,
     /// Counter sink: [`Counter::TermNodes`], [`Counter::CongruenceUnions`],
     /// [`Counter::CongruenceFinds`]. Disabled by default.
     recorder: Recorder,
@@ -129,65 +294,162 @@ impl Congruence {
         }
     }
 
-    fn root(&self, mut i: usize) -> usize {
+    fn root(&self, mut i: u32) -> u32 {
         self.recorder.count(Counter::CongruenceFinds, 1);
-        while self.uf[i] != i {
-            i = self.uf[i];
+        while self.nodes[i as usize].uf != i {
+            i = self.nodes[i as usize].uf;
         }
         i
     }
 
-    /// Intern an expression, returning its node id.
-    pub fn intern(&mut self, e: &Expr) -> usize {
-        let (op, child_exprs): (Op, Vec<&Expr>) = match e {
-            Expr::Var(v) => (Op::Var(*v), vec![]),
-            Expr::Const(c) => (Op::Const(c.clone()), vec![]),
-            Expr::Attr(base, a) => (Op::Attr(a.clone()), vec![base]),
-            Expr::App(f, args) => (Op::App(f.clone()), args.iter().collect()),
-            Expr::Agg(name, body) => {
-                let (skel, free) = abstract_agg_body(body);
-                let children: Vec<usize> =
-                    free.iter().map(|v| self.intern(&Expr::Var(*v))).collect();
-                return self.intern_node(Op::Agg(name.clone(), Box::new(skel)), children, e);
-            }
-            Expr::Record(fields) => (
-                Op::Record(fields.iter().map(|(n, _)| n.clone()).collect()),
-                fields.iter().map(|(_, v)| v).collect(),
-            ),
-            Expr::Concat(l, s, r) => (Op::Concat(*s), vec![l.as_ref(), r.as_ref()]),
-        };
-        let children: Vec<usize> = child_exprs.into_iter().map(|c| self.intern(c)).collect();
-        self.intern_node(op, children, e)
+    fn children(&self, n: u32) -> &[u32] {
+        let node = &self.nodes[n as usize];
+        &self.kids[node.first as usize..(node.first + node.arity) as usize]
     }
 
-    fn intern_node(&mut self, op: Op, children: Vec<usize>, expr: &Expr) -> usize {
-        let canon: Vec<usize> = children.iter().map(|&c| self.root(c)).collect();
-        if let Some(&existing) = self.sig.get(&(op.clone(), canon.clone())) {
+    /// The signature key of `op` over `children`: their current roots.
+    fn signature(&self, op: Op, children: &[u32]) -> (Op, Kids) {
+        let kids = match children {
+            [] => Kids::Few([NONE; 2]),
+            [a] => Kids::Few([self.root(*a), NONE]),
+            [a, b] => Kids::Few([self.root(*a), self.root(*b)]),
+            _ => Kids::Many(children.iter().map(|&c| self.root(c)).collect()),
+        };
+        (op, kids)
+    }
+
+    /// Members of the class rooted at `root`, in merge order.
+    fn members(&self, root: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(root), move |&m| {
+            Some(self.nodes[m as usize].next_member).filter(|&n| n != NONE)
+        })
+    }
+
+    /// Parents of the class rooted at `root`, in insertion order.
+    fn parents(&self, root: u32) -> impl Iterator<Item = u32> + '_ {
+        let mut link = self.nodes[root as usize].parent_head;
+        std::iter::from_fn(move || {
+            if link == NONE {
+                return None;
+            }
+            let (p, next) = self.parent_links[link as usize];
+            link = next;
+            Some(p)
+        })
+    }
+
+    fn push_parent(&mut self, class: u32, p: u32) {
+        let link = self.parent_links.len() as u32;
+        self.parent_links.push((p, NONE));
+        match self.nodes[class as usize].parent_tail {
+            NONE => self.nodes[class as usize].parent_head = link,
+            tail => self.parent_links[tail as usize].1 = link,
+        }
+        self.nodes[class as usize].parent_tail = link;
+    }
+
+    /// Intern an expression, returning its node id.
+    pub fn intern(&mut self, e: &Expr) -> usize {
+        self.intern_id(e) as usize
+    }
+
+    fn intern_id(&mut self, e: &Expr) -> u32 {
+        match e {
+            Expr::Var(v) => self.intern_node(Op::Var(*v), &[], e),
+            Expr::Const(c) => {
+                let op = Op::Const(self.syms.constant(c));
+                self.intern_node(op, &[], e)
+            }
+            Expr::Attr(base, a) => {
+                let op = Op::Attr(self.syms.name(a));
+                let b = self.intern_id(base);
+                self.intern_node(op, &[b], e)
+            }
+            Expr::App(f, args) => {
+                let op = Op::App(self.syms.name(f));
+                self.intern_with_children(op, args.iter(), e)
+            }
+            Expr::Agg(name, body) => {
+                let (skel, free) = abstract_agg_body(body);
+                let name = self.syms.name(name);
+                let op = Op::Agg(self.syms.agg(name, skel));
+                let children: Vec<u32> = free
+                    .iter()
+                    .map(|v| self.intern_id(&Expr::Var(*v)))
+                    .collect();
+                self.intern_node(op, &children, e)
+            }
+            Expr::Record(fields) => {
+                let names = fields.iter().map(|(n, _)| self.syms.name(n)).collect();
+                let op = Op::Record(self.syms.record(names));
+                self.intern_with_children(op, fields.iter().map(|(_, v)| v), e)
+            }
+            Expr::Concat(l, s, r) => {
+                let (l, r) = (self.intern_id(l), self.intern_id(r));
+                self.intern_node(Op::Concat(*s), &[l, r], e)
+            }
+        }
+    }
+
+    /// Intern `children` left to right, then the node `op` over them; no
+    /// allocation for arity ≤ 2.
+    fn intern_with_children<'e>(
+        &mut self,
+        op: Op,
+        mut children: impl ExactSizeIterator<Item = &'e Expr>,
+        e: &Expr,
+    ) -> u32 {
+        let mut few = [NONE; 2];
+        if children.len() <= few.len() {
+            let n = children.len();
+            for slot in &mut few[..n] {
+                *slot = self.intern_id(children.next().expect("counted child"));
+            }
+            self.intern_node(op, &few[..n], e)
+        } else {
+            let ids: Vec<u32> = children.map(|c| self.intern_id(c)).collect();
+            self.intern_node(op, &ids, e)
+        }
+    }
+
+    fn intern_node(&mut self, op: Op, children: &[u32], expr: &Expr) -> u32 {
+        let key = self.signature(op, children);
+        if let Some(&existing) = self.sig.get(&key) {
             return existing;
         }
-        let id = self.nodes.len();
+        let id = self.nodes.len() as u32;
         self.recorder.count(Counter::TermNodes, 1);
-        let mut vars = BTreeSet::new();
-        expr.collect_vars(&mut vars);
         self.nodes.push(Node {
-            op: op.clone(),
-            children: children.clone(),
+            op,
+            first: self.kids.len() as u32,
+            arity: children.len() as u32,
+            uf: id,
+            size: 1,
+            next_member: NONE,
+            last_member: id,
+            parent_head: NONE,
+            parent_tail: NONE,
             expr: expr.clone(),
-            vars,
         });
-        self.uf.push(id);
-        self.members.insert(id, vec![id]);
-        self.sig.insert((op, canon.clone()), id);
-        for c in canon {
-            self.parents.entry(c).or_default().push(id);
+        self.kids.extend_from_slice(children);
+        for &c in key.1.as_slice() {
+            self.push_parent(c, id);
+        }
+        self.sig.insert(key, id);
+        match op {
+            Op::Const(_) => self.const_nodes.push(id),
+            Op::Record(_) | Op::Concat(_) => self.tuple_nodes = true,
+            _ => {}
         }
         // Theory propagation: the new node may be an Attr over a class that
         // already holds a record (projection alignment fires on the child's
         // class), or may itself join a class with records later.
-        self.propagate_theories(id);
-        for c in self.nodes[id].children.clone() {
-            let rc = self.root(c);
-            self.propagate_theories(rc);
+        if self.tuple_nodes {
+            self.propagate_theories(id);
+            for &c in children {
+                let rc = self.root(c);
+                self.propagate_theories(rc);
+            }
         }
         self.process_worklist();
         id
@@ -195,8 +457,8 @@ impl Congruence {
 
     /// Assert `a = b`.
     pub fn assert_eq(&mut self, a: &Expr, b: &Expr) {
-        let na = self.intern(a);
-        let nb = self.intern(b);
+        let na = self.intern_id(a);
+        let nb = self.intern_id(b);
         self.merge(na, nb);
         self.process_worklist();
     }
@@ -210,21 +472,25 @@ impl Congruence {
         }
     }
 
+    /// The constant nodes as `(class root, constant id)`, in creation order.
+    fn class_constant_ids(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.const_nodes
+            .iter()
+            .map(|&n| match self.nodes[n as usize].op {
+                Op::Const(c) => (self.root(n), c),
+                _ => unreachable!("const_nodes holds constant nodes"),
+            })
+    }
+
     /// Has the closure merged two *distinct* constants into one class? A
     /// set of equalities entailing `c₁ = c₂` for different constants is
     /// unsatisfiable, so a term carrying them denotes `0` at every
     /// valuation.
     pub fn inconsistent(&self) -> bool {
-        let mut const_of_class: HashMap<usize, &Value> = HashMap::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Op::Const(c) = &n.op {
-                let r = self.root(i);
-                match const_of_class.get(&r) {
-                    Some(prev) if **prev != *c => return true,
-                    _ => {
-                        const_of_class.insert(r, c);
-                    }
-                }
+        let mut const_of_class: FastMap<u32, u32> = FastMap::default();
+        for (r, c) in self.class_constant_ids() {
+            if *const_of_class.entry(r).or_insert(c) != c {
+                return true;
             }
         }
         false
@@ -234,13 +500,9 @@ impl Congruence {
     /// any). Built once and probed per predicate — the batch counterpart of
     /// [`Congruence::constant_of`] for hot paths.
     pub fn class_constants(&self) -> HashMap<usize, Value> {
-        let mut out = HashMap::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Op::Const(c) = &n.op {
-                out.insert(self.root(i), c.clone());
-            }
-        }
-        out
+        self.class_constant_ids()
+            .map(|(r, c)| (r as usize, self.syms.const_values[c as usize].clone()))
+            .collect()
     }
 
     /// The constant (if any) in the class of `e`.
@@ -261,47 +523,42 @@ impl Congruence {
 
     /// Are `a` and `b` in the same class?
     pub fn same(&mut self, a: &Expr, b: &Expr) -> bool {
-        let na = self.intern(a);
-        let nb = self.intern(b);
+        let na = self.intern_id(a);
+        let nb = self.intern_id(b);
         self.root(na) == self.root(nb)
     }
 
     /// Class id (root) of an expression.
     pub fn class_of(&mut self, e: &Expr) -> usize {
-        let n = self.intern(e);
-        self.root(n)
+        let n = self.intern_id(e);
+        self.root(n) as usize
     }
 
-    fn merge(&mut self, a: usize, b: usize) {
+    fn merge(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.root(a), self.root(b));
         if ra == rb {
             return;
         }
         self.recorder.count(Counter::CongruenceUnions, 1);
         // Union by member count.
-        let (big, small) = {
-            let la = self.members.get(&ra).map_or(0, Vec::len);
-            let lb = self.members.get(&rb).map_or(0, Vec::len);
-            if la >= lb {
-                (ra, rb)
-            } else {
-                (rb, ra)
-            }
+        let (big, small) = if self.nodes[ra as usize].size >= self.nodes[rb as usize].size {
+            (ra, rb)
+        } else {
+            (rb, ra)
         };
-        self.uf[small] = big;
-        let small_members = self.members.remove(&small).unwrap_or_default();
-        self.members.entry(big).or_default().extend(small_members);
+        let (bi, si) = (big as usize, small as usize);
+        self.nodes[si].uf = big;
+        self.nodes[bi].size += self.nodes[si].size;
+        let last = self.nodes[bi].last_member as usize;
+        self.nodes[last].next_member = small;
+        self.nodes[bi].last_member = self.nodes[si].last_member;
 
         // Re-canonicalize parent signatures of the absorbed class; congruent
         // parents get scheduled for merging.
-        let moved_parents = self.parents.remove(&small).unwrap_or_default();
-        for p in moved_parents {
-            let canon: Vec<usize> = self.nodes[p]
-                .children
-                .iter()
-                .map(|&c| self.root(c))
-                .collect();
-            let key = (self.nodes[p].op.clone(), canon);
+        let mut link = self.nodes[si].parent_head;
+        while link != NONE {
+            let (p, next) = self.parent_links[link as usize];
+            let key = self.signature(self.nodes[p as usize].op, self.children(p));
             if let Some(&other) = self.sig.get(&key) {
                 if self.root(other) != self.root(p) {
                     self.worklist.push((other, p));
@@ -309,9 +566,19 @@ impl Congruence {
             } else {
                 self.sig.insert(key, p);
             }
-            self.parents.entry(big).or_default().push(p);
+            link = next;
         }
-        self.propagate_theories(big);
+        // The absorbed class's parents join the survivor's, in order.
+        if self.nodes[si].parent_head != NONE {
+            match self.nodes[bi].parent_tail {
+                NONE => self.nodes[bi].parent_head = self.nodes[si].parent_head,
+                tail => self.parent_links[tail as usize].1 = self.nodes[si].parent_head,
+            }
+            self.nodes[bi].parent_tail = self.nodes[si].parent_tail;
+        }
+        if self.tuple_nodes {
+            self.propagate_theories(big);
+        }
     }
 
     fn process_worklist(&mut self) {
@@ -323,116 +590,89 @@ impl Congruence {
     /// Tuple-theory rules on the class containing `node`:
     /// record-injectivity, concat-injectivity, and record/projection
     /// alignment (`c ≈ ⟨…, a = e, …⟩ ⇒ c.a ≈ e`).
-    fn propagate_theories(&mut self, node: usize) {
+    fn propagate_theories(&mut self, node: u32) {
         let root = self.root(node);
-        let members = match self.members.get(&root) {
-            Some(m) => m.clone(),
-            None => return,
-        };
+        let mut pending = Vec::new();
         // Record / Concat injectivity among members.
-        let mut first_record: Option<usize> = None;
-        let mut first_concat: Option<usize> = None;
-        for &m in &members {
-            match &self.nodes[m].op {
-                Op::Record(names) => {
-                    if let Some(r0) = first_record {
-                        if let Op::Record(names0) = &self.nodes[r0].op {
-                            if names0 == names {
-                                for (c0, c1) in self.nodes[r0]
-                                    .children
-                                    .clone()
-                                    .into_iter()
-                                    .zip(self.nodes[m].children.clone())
-                                {
-                                    self.worklist.push((c0, c1));
-                                }
-                            }
-                        }
-                    } else {
-                        first_record = Some(m);
-                    }
+        let mut first_record: Option<u32> = None;
+        let mut first_concat: Option<u32> = None;
+        for m in self.members(root) {
+            let op = self.nodes[m as usize].op;
+            let first = match op {
+                Op::Record(_) => &mut first_record,
+                Op::Concat(_) => &mut first_concat,
+                _ => continue,
+            };
+            match *first {
+                Some(m0) if self.nodes[m0 as usize].op == op => {
+                    pending.extend(
+                        self.children(m0)
+                            .iter()
+                            .copied()
+                            .zip(self.children(m).iter().copied()),
+                    );
                 }
-                Op::Concat(s) => {
-                    if let Some(c0) = first_concat {
-                        if let Op::Concat(s0) = &self.nodes[c0].op {
-                            if s0 == s {
-                                for (a, b) in self.nodes[c0]
-                                    .children
-                                    .clone()
-                                    .into_iter()
-                                    .zip(self.nodes[m].children.clone())
-                                {
-                                    self.worklist.push((a, b));
-                                }
-                            }
-                        }
-                    } else {
-                        first_concat = Some(m);
-                    }
-                }
-                _ => {}
+                Some(_) => {}
+                None => *first = Some(m),
             }
         }
         // Projection alignment: for a record member and any Attr parent of
         // this class, merge the projection with the record field.
         if let Some(rec) = first_record {
-            let (names, fields) = match &self.nodes[rec].op {
-                Op::Record(names) => (names.clone(), self.nodes[rec].children.clone()),
-                _ => unreachable!(),
+            let Op::Record(list) = self.nodes[rec as usize].op else {
+                unreachable!("first_record is a record node")
             };
-            let parent_list = self.parents.get(&root).cloned().unwrap_or_default();
-            for p in parent_list {
-                if let Op::Attr(a) = &self.nodes[p].op {
+            let names = &self.syms.record_fields[list as usize];
+            let fields = self.children(rec);
+            for p in self.parents(root) {
+                if let Op::Attr(a) = self.nodes[p as usize].op {
                     // Only when the projected base is in this class.
-                    let base = self.nodes[p].children[0];
+                    let base = self.children(p)[0];
                     if self.root(base) == root {
-                        if let Some(idx) = names.iter().position(|n| n == a) {
-                            self.worklist.push((p, fields[idx]));
+                        if let Some(idx) = names.iter().position(|&n| n == a) {
+                            pending.push((p, fields[idx]));
                         }
                     }
                 }
             }
         }
+        self.worklist.extend(pending);
+    }
+
+    /// Member expressions of `e`'s class, in merge order.
+    fn class_exprs(&mut self, e: &Expr) -> impl Iterator<Item = &Expr> + '_ {
+        let root = self.intern_id(e);
+        let root = self.root(root);
+        self.members(root).map(|m| &self.nodes[m as usize].expr)
     }
 
     /// Find a member of `e`'s class whose expression does not mention `v`
     /// (the witness required by Eq. (15) elimination). Prefers the smallest
     /// such expression for compact output.
     pub fn rep_without_var(&mut self, e: &Expr, v: VarId) -> Option<Expr> {
-        let root = self.class_of(e);
-        let members = self.members.get(&root)?;
-        members
-            .iter()
-            .filter(|&&m| !self.nodes[m].vars.contains(&v))
-            .map(|&m| self.nodes[m].expr.clone())
-            .min_by_key(Expr::size)
+        self.class_exprs(e)
+            .filter(|m| !m.contains_var(v))
+            .min_by_key(|m| m.size())
+            .cloned()
     }
 
     /// All member expressions of `e`'s class that do not mention `v`
     /// (callers apply their own canonical-witness preference).
     pub fn members_without_var(&mut self, e: &Expr, v: VarId) -> Vec<Expr> {
-        let root = self.class_of(e);
-        match self.members.get(&root) {
-            None => vec![],
-            Some(members) => members
-                .iter()
-                .filter(|&&m| !self.nodes[m].vars.contains(&v))
-                .map(|&m| self.nodes[m].expr.clone())
-                .collect(),
-        }
+        self.class_exprs(e)
+            .filter(|m| !m.contains_var(v))
+            .cloned()
+            .collect()
     }
 
     /// Find a member of `e`'s class whose free variables all satisfy `ok`
     /// (used by the squash-invariance analysis: "is this expression
     /// determined by already-determined variables?").
     pub fn rep_where(&mut self, e: &Expr, ok: &dyn Fn(VarId) -> bool) -> Option<Expr> {
-        let root = self.class_of(e);
-        let members = self.members.get(&root)?;
-        members
-            .iter()
-            .filter(|&&m| self.nodes[m].vars.iter().all(|&w| ok(w)))
-            .map(|&m| self.nodes[m].expr.clone())
-            .min_by_key(Expr::size)
+        self.class_exprs(e)
+            .filter(|m| m.free_vars().into_iter().all(ok))
+            .min_by_key(|m| m.size())
+            .cloned()
     }
 
     /// Does the closure entail `a = b` given the asserted equalities?

@@ -24,10 +24,6 @@ use crate::trace::{Rule, StepData};
 pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool, Exhausted> {
     let ca = canonize_nf(ctx, a.clone(), ambient, false)?;
     let cb = canonize_nf(ctx, b.clone(), ambient, false)?;
-    if std::env::var("UDP_DEBUG").is_ok() {
-        eprintln!("UDP canon A: {ca}");
-        eprintln!("UDP canon B: {cb}");
-    }
     if ca.terms.len() != cb.terms.len() {
         return Ok(false);
     }
@@ -126,14 +122,6 @@ pub fn sdp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
         tb.push(minimize_term(ctx, t, ambient)?);
     }
 
-    if std::env::var("UDP_DEBUG").is_ok() {
-        for t in &ta {
-            eprintln!("SDP A-term: {t}");
-        }
-        for t in &tb {
-            eprintln!("SDP B-term: {t}");
-        }
-    }
     // ‖0‖ = 0: both empty ⇒ equal; one empty ⇒ the other must have at least
     // one satisfiable term — conservatively report inequivalence.
     if ta.is_empty() || tb.is_empty() {

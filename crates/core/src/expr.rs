@@ -477,23 +477,17 @@ impl Pred {
     }
 
     /// Orient the predicate canonically: equality/inequality operands sorted.
-    pub fn oriented(self) -> Pred {
-        match self {
-            Pred::Eq(a, b) => {
-                if a <= b {
-                    Pred::Eq(a, b)
-                } else {
-                    Pred::Eq(b, a)
-                }
+    pub fn oriented(mut self) -> Pred {
+        self.orient();
+        self
+    }
+
+    /// [`Pred::oriented`] in place.
+    pub fn orient(&mut self) {
+        if let Pred::Eq(a, b) | Pred::Ne(a, b) = self {
+            if a > b {
+                std::mem::swap(a, b);
             }
-            Pred::Ne(a, b) => {
-                if a <= b {
-                    Pred::Ne(a, b)
-                } else {
-                    Pred::Ne(b, a)
-                }
-            }
-            p => p,
         }
     }
 

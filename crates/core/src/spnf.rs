@@ -212,15 +212,19 @@ impl Term {
 
     /// Drop trivially-true predicates and duplicate factors (justified by
     /// `[e = e] = 1` — derivable from Eq. (13)–(14) — and predicate
-    /// idempotence `[b]² = [b]`, from axioms (4) and (11)).
+    /// idempotence `[b]² = [b]`, from axioms (4) and (11)). Duplicates are
+    /// dropped in place, keeping first occurrences.
     pub fn simplify_preds(&mut self) {
         self.preds.retain(|p| !p.is_trivially_true());
-        let mut seen = BTreeSet::new();
-        self.preds = std::mem::take(&mut self.preds)
-            .into_iter()
-            .map(Pred::oriented)
-            .filter(|p| seen.insert(p.clone()))
-            .collect();
+        self.preds.iter_mut().for_each(Pred::orient);
+        let mut i = 0;
+        while i < self.preds.len() {
+            if self.preds[..i].contains(&self.preds[i]) {
+                self.preds.remove(i);
+            } else {
+                i += 1;
+            }
+        }
     }
 
     /// Canonical sort of factors for deterministic printing and hashing.

@@ -4,7 +4,9 @@
 //! on small random inputs:
 //!
 //! * congruence closure vs. a fixpoint closure over a subterm-closed finite
-//!   universe;
+//!   universe, once over variables, projections and unary applications and
+//!   once with records, concats, binary applications and constants under
+//!   the tuple theories, interleaving queries with assertions;
 //! * homomorphism search vs. enumeration of all variable mappings
 //!   (completeness) and Boolean-model containment (soundness);
 //! * isomorphism search vs. ℕ-model equality (soundness);
@@ -152,6 +154,278 @@ proptest! {
                     &uni[i], &uni[j], &pairs
                 );
             }
+        }
+    }
+}
+
+// ------------------------------------------------------ congruence, tuples
+
+/// The ground-term universe for the tuple-theory oracle: variables and
+/// their projections, two constants, unary and binary applications, records
+/// over one field list and concats — subterm-closed by construction.
+fn tuple_universe() -> Vec<Expr> {
+    let x = |i: u32| Expr::Var(VarId(i));
+    let xa = |i: u32, a: &str| Expr::var_attr(VarId(i), a);
+    let rec = |k: Expr, a: Expr| Expr::record(vec![("k".into(), k), ("a".into(), a)]);
+    let cat = |l: u32, r: u32| Expr::Concat(Box::new(x(l)), SchemaId(0), Box::new(x(r)));
+    let mut terms = Vec::new();
+    for v in 0..3 {
+        terms.extend([x(v), xa(v, "k"), xa(v, "a")]);
+    }
+    terms.extend([Expr::int(0), Expr::int(1)]);
+    for v in 0..3 {
+        terms.push(Expr::app("f", vec![xa(v, "k")]));
+    }
+    terms.push(Expr::app("f", vec![Expr::int(0)]));
+    for (i, j) in [(0, 1), (1, 0), (2, 2), (0, 0)] {
+        terms.push(Expr::app("g", vec![xa(i, "k"), xa(j, "k")]));
+    }
+    terms.extend([
+        rec(xa(0, "k"), xa(1, "a")),
+        rec(xa(2, "k"), Expr::int(1)),
+        rec(Expr::int(0), xa(2, "a")),
+        rec(xa(1, "k"), xa(0, "a")),
+    ]);
+    terms.extend([cat(0, 1), cat(2, 0), cat(1, 1)]);
+    terms
+}
+
+/// An operator head for the reference closure (name, arity and payload) and
+/// the universe indices of the children.
+fn head_and_children(uni: &[Expr], e: &Expr) -> (String, Vec<usize>) {
+    let idx = |c: &Expr| uni.iter().position(|u| u == c).expect("subterm-closed");
+    match e {
+        Expr::Var(v) => (format!("var {}", v.0), vec![]),
+        Expr::Const(c) => (format!("const {c}"), vec![]),
+        Expr::Attr(base, a) => (format!("attr {a}"), vec![idx(base)]),
+        Expr::App(f, args) => (
+            format!("app {f}/{}", args.len()),
+            args.iter().map(idx).collect(),
+        ),
+        Expr::Record(fields) => {
+            let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
+            (
+                format!("record {names:?}"),
+                fields.iter().map(|(_, e)| idx(e)).collect(),
+            )
+        }
+        Expr::Concat(l, s, r) => (format!("concat {}", s.0), vec![idx(l), idx(r)]),
+        Expr::Agg(..) => unreachable!("no aggregates in the tuple universe"),
+    }
+}
+
+/// Reference closure of `asserted` over `uni`: an equivalence closed under
+/// congruence of every operator, record and concat injectivity, and
+/// record/projection alignment (`c ≈ ⟨…, a = e, …⟩ ⇒ c.a ≈ e`), iterated
+/// to fixpoint. Returns each term's class representative.
+fn reference_classes(uni: &[Expr], asserted: &[(usize, usize)]) -> Vec<usize> {
+    fn find(cls: &[usize], mut i: usize) -> usize {
+        while cls[i] != i {
+            i = cls[i];
+        }
+        i
+    }
+    fn union(cls: &mut [usize], i: usize, j: usize) -> bool {
+        let (ri, rj) = (find(cls, i), find(cls, j));
+        cls[ri] = rj;
+        ri != rj
+    }
+    let shapes: Vec<(String, Vec<usize>)> = uni.iter().map(|e| head_and_children(uni, e)).collect();
+    let mut cls: Vec<usize> = (0..uni.len()).collect();
+    for &(i, j) in asserted {
+        union(&mut cls, i, j);
+    }
+    loop {
+        let mut changed = false;
+        for i in 0..uni.len() {
+            for j in 0..uni.len() {
+                let ((hi, ki), (hj, kj)) = (&shapes[i], &shapes[j]);
+                if hi != hj || ki.is_empty() {
+                    continue;
+                }
+                let same = |cls: &[usize], a: usize, b: usize| find(cls, a) == find(cls, b);
+                if ki.iter().zip(kj).all(|(&a, &b)| same(&cls, a, b)) {
+                    changed |= union(&mut cls, i, j); // congruence
+                }
+                let tuple = matches!(uni[i], Expr::Record(_) | Expr::Concat(..));
+                if tuple && same(&cls, i, j) {
+                    for (&a, &b) in ki.iter().zip(kj) {
+                        changed |= union(&mut cls, a, b); // injectivity
+                    }
+                }
+            }
+            // Alignment: `uni[i] = c.a` against every record in c's class.
+            if let Expr::Attr(_, a) = &uni[i] {
+                let c = shapes[i].1[0];
+                for (r, e) in uni.iter().enumerate() {
+                    let Expr::Record(fields) = e else { continue };
+                    if find(&cls, r) != find(&cls, c) {
+                        continue;
+                    }
+                    if let Some(f) = fields.iter().position(|(n, _)| n == a) {
+                        changed |= union(&mut cls, i, shapes[r].1[f]);
+                    }
+                }
+            }
+        }
+        if !changed {
+            return (0..uni.len()).map(|i| find(&cls, i)).collect();
+        }
+    }
+}
+
+/// Replay `ops` — `(true, i, j)` asserts `uni[i] = uni[j]`, `(false, i, j)`
+/// queries it — on a fresh closure, checking every query, and finally every
+/// pair, `inconsistent` and the witness queries, against
+/// [`reference_classes`]. With `pre_intern` every universe term gets its
+/// own node before the first assertion, so merges re-key parents that
+/// already exist and class members are exactly the reference classes;
+/// without it, terms are interned lazily and may hash-cons onto a
+/// congruent node.
+fn check_tuple_closure(ops: &[(bool, usize, usize)], pre_intern: bool) {
+    let uni = tuple_universe();
+    let mut cc = Congruence::new();
+    if pre_intern {
+        for e in &uni {
+            cc.intern(e);
+        }
+    }
+    let mut asserted = Vec::new();
+    let inconsistent = |cls: &[usize]| {
+        let consts: Vec<usize> = (0..uni.len())
+            .filter(|&i| matches!(uni[i], Expr::Const(_)))
+            .collect();
+        consts
+            .iter()
+            .any(|&i| consts.iter().any(|&j| i != j && cls[i] == cls[j]))
+    };
+    for &(assert, i, j) in ops {
+        if assert {
+            cc.assert_eq(&uni[i], &uni[j]);
+            asserted.push((i, j));
+        } else {
+            let cls = reference_classes(&uni, &asserted);
+            assert_eq!(
+                cc.same(&uni[i], &uni[j]),
+                cls[i] == cls[j],
+                "{} ≈ {} after {ops:?} (pre-interned: {pre_intern})",
+                uni[i],
+                uni[j]
+            );
+        }
+    }
+    let cls = reference_classes(&uni, &asserted);
+    assert_eq!(cc.inconsistent(), inconsistent(&cls), "{ops:?}");
+    for i in 0..uni.len() {
+        for j in 0..uni.len() {
+            assert_eq!(
+                cc.same(&uni[i], &uni[j]),
+                cls[i] == cls[j],
+                "{} ≈ {} after {ops:?} (pre-interned: {pre_intern})",
+                uni[i],
+                uni[j]
+            );
+        }
+    }
+    assert_eq!(cc.inconsistent(), inconsistent(&cls), "{ops:?}");
+    // Witness queries: every answer is a class member avoiding the
+    // variable; with one node per term the answers are exact.
+    for (i, e) in uni.iter().enumerate() {
+        let class: Vec<&Expr> = (0..uni.len())
+            .filter(|&j| cls[j] == cls[i])
+            .map(|j| &uni[j])
+            .collect();
+        for v in (0..3).map(VarId) {
+            let mut got = cc.members_without_var(e, v);
+            for m in &got {
+                assert!(
+                    class.contains(&m) && !m.contains_var(v),
+                    "{m} for {e} without {v:?}"
+                );
+            }
+            let rep = cc.rep_where(e, &|w| w != v);
+            assert_eq!(
+                rep.as_ref().map(Expr::size),
+                got.iter().map(Expr::size).min(),
+                "rep_where({e}, ≠ {v:?}) after {ops:?}"
+            );
+            assert!(rep.iter().all(|r| got.contains(r)));
+            if pre_intern {
+                let mut want: Vec<Expr> = class
+                    .iter()
+                    .filter(|m| !m.contains_var(v))
+                    .map(|m| (*m).clone())
+                    .collect();
+                got.sort();
+                want.sort();
+                assert_eq!(got, want, "members of {e} without {v:?} after {ops:?}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The engine agrees with the reference closure on records, concats,
+    /// binary applications and constants, with queries interleaved with
+    /// assertions, whether nodes are interned up front or on demand.
+    #[test]
+    fn tuple_congruence_matches_reference(
+        ops in proptest::collection::vec((0u8..3, 0usize..64, 0usize..64), 1..10),
+        pre_intern in any::<bool>(),
+    ) {
+        let n = tuple_universe().len();
+        let ops: Vec<(bool, usize, usize)> =
+            ops.into_iter().map(|(k, i, j)| (k == 0, i % n, j % n)).collect();
+        check_tuple_closure(&ops, pre_intern);
+    }
+}
+
+/// Fixed scenarios the random sequences reach only by chance.
+#[test]
+fn tuple_congruence_fixed_scenarios() {
+    let uni = tuple_universe();
+    let at = |e: Expr| uni.iter().position(|u| *u == e).unwrap();
+    let x = |i: u32| at(Expr::Var(VarId(i)));
+    let xa = |i: u32, a: &str| at(Expr::var_attr(VarId(i), a));
+    let rec = |k: Expr, a: Expr| at(Expr::record(vec![("k".into(), k), ("a".into(), a)]));
+    let r2 = rec(Expr::var_attr(VarId(2), "k"), Expr::int(1));
+    let r1 = rec(Expr::var_attr(VarId(0), "k"), Expr::var_attr(VarId(1), "a"));
+    let r4 = rec(Expr::var_attr(VarId(1), "k"), Expr::var_attr(VarId(0), "a"));
+    let cat = |l: u32, r: u32| {
+        at(Expr::Concat(
+            Box::new(Expr::Var(VarId(l))),
+            SchemaId(0),
+            Box::new(Expr::Var(VarId(r))),
+        ))
+    };
+    let (zero, one) = (at(Expr::int(0)), at(Expr::int(1)));
+    let scenarios: Vec<Vec<(bool, usize, usize)>> = vec![
+        // The first record arrives after merges among tuple-free nodes:
+        // projections interned earlier must align with it.
+        vec![
+            (true, x(0), x(1)),
+            (false, xa(1, "a"), one),
+            (true, xa(0, "k"), xa(2, "a")),
+            (true, x(1), r2),
+            (false, xa(0, "k"), xa(2, "k")),
+            (false, xa(0, "a"), one),
+        ],
+        // Record injectivity.
+        vec![(true, r1, r4), (false, xa(0, "k"), xa(1, "k"))],
+        // Concat injectivity, then congruence of binary applications.
+        vec![
+            (true, cat(0, 1), cat(2, 0)),
+            (false, x(0), x(1)),
+            (false, x(2), x(1)),
+        ],
+        // Distinct constants merged through a record field.
+        vec![(true, x(2), r2), (true, xa(2, "a"), zero)],
+    ];
+    for ops in &scenarios {
+        for pre_intern in [false, true] {
+            check_tuple_closure(ops, pre_intern);
         }
     }
 }

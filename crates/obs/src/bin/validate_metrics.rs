@@ -4,7 +4,7 @@
 //! Usage: `validate-metrics [--min-coverage F] PATH`
 //!        `validate-metrics --trace [--min-lanes N] PATH`
 //!
-//! Metrics mode checks, against schema version 4:
+//! Metrics mode checks, against schema version 5:
 //! * required top-level keys with the right types;
 //! * `stages` lists every known stage name exactly once, in order;
 //! * `counters` lists every known counter name exactly once, in order,
@@ -24,7 +24,7 @@
 //! * `open_spans == 0` (span balance at quiescence);
 //! * every backend entry carries the full key set, including the
 //!   definite/unknown exit-kind wall split and the fault-isolation
-//!   fields (`faults`, `breaker_open`);
+//!   field `faults`;
 //! * the `faults` section exists and its three totals agree with the
 //!   matching entries in `counters` (one producer, two views — any
 //!   disagreement means a second writer crept in).
@@ -108,8 +108,8 @@ fn main() {
 
     let doc = parse(&text).unwrap_or_else(|e| fail(&format!("invalid JSON: {e}")));
 
-    if need_num(&doc, "schema_version") as u64 != 4 {
-        fail("schema_version != 4");
+    if need_num(&doc, "schema_version") as u64 != 5 {
+        fail("schema_version != 5");
     }
     let goals = need_num(&doc, "goals");
     let goal_wall_us = need_num(&doc, "goal_wall_us");
@@ -244,9 +244,6 @@ fn main() {
             if b.get(key).and_then(Value::as_f64).is_none() {
                 fail(&format!("backend \"{name}\" missing numeric \"{key}\""));
             }
-        }
-        if need(b, "breaker_open").as_bool().is_none() {
-            fail(&format!("backend \"{name}\" missing bool \"breaker_open\""));
         }
         // Faulted attempts are a subset of unknown-exit ones, so the
         // definite/unknown wall split still covers every attempt.

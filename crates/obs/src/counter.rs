@@ -250,7 +250,7 @@ impl Counter {
     /// independent of worker count, machine speed, and scheduling? Wall
     /// tallies, cache-order-dependent depths, gauges whose level depends
     /// on eviction interleaving, and the fault family (race-mode faults
-    /// and breaker trips depend on which backend loses the race) are
+    /// depend on which backend loses the race) are
     /// excluded; everything else is pinned across 1/2/4 workers by the
     /// service metrics test.
     pub fn is_deterministic(self) -> bool {

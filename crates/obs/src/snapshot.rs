@@ -1,15 +1,16 @@
 //! Point-in-time views of a [`crate::Recorder`]'s tables, and the stable
 //! machine-readable JSON rendering behind `--metrics-json`.
 //!
-//! The JSON schema (version 4 — version 3 plus the `faults` section and
-//! per-backend `faults`/`breaker_open` fields from the fault-isolation
-//! layer; version 3 added the `memory` section: per-stage allocation
-//! attribution, the live-bytes high-watermark, bytes-per-goal, and cache
-//! residency):
+//! The JSON schema (version 5 — version 4 without the per-backend
+//! `breaker_open` field, which went with the circuit breaker; version 4
+//! added the `faults` section and per-backend `faults` from the
+//! fault-isolation layer; version 3 added the `memory` section: per-stage
+//! allocation attribution, the live-bytes high-watermark, bytes-per-goal,
+//! and cache residency):
 //!
 //! ```json
 //! {
-//!   "schema_version": 4,
+//!   "schema_version": 5,
 //!   "goals": 240,
 //!   "goal_wall_us": 18234.5,
 //!   "coverage": 0.97,
@@ -29,7 +30,7 @@
 //!     {"name": "udp", "calls": 230, "definite": 228, "proved": 200,
 //!      "unknown": 2, "settled": 210, "wall_us": 15000.0,
 //!      "definite_wall_us": 14200.0, "unknown_wall_us": 800.0,
-//!      "p50_us": 64, "p99_us": 1024, "faults": 0, "breaker_open": false}
+//!      "p50_us": 64, "p99_us": 1024, "faults": 0}
 //!   ],
 //!   "faults": {
 //!     "backend_faults": 0,
@@ -155,9 +156,6 @@ pub struct BackendSummary {
     /// Attempts that panicked and were contained into a `Faulted` outcome
     /// (a subset of `unknown` — faulted attempts settle nothing).
     pub faults: u64,
-    /// Did the circuit breaker disable this backend for the session
-    /// (K consecutive faults)?
-    pub breaker_open: bool,
 }
 
 /// A point-in-time copy of a recorder's aggregation tables.
@@ -246,7 +244,7 @@ impl MetricsSnapshot {
     pub fn to_json(&self, backends: &[BackendSummary]) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
-        out.push_str("  \"schema_version\": 4,\n");
+        out.push_str("  \"schema_version\": 5,\n");
         out.push_str(&format!("  \"goals\": {},\n", self.goals));
         out.push_str(&format!(
             "  \"goal_wall_us\": {},\n",
@@ -294,7 +292,7 @@ impl MetricsSnapshot {
                 "    {{\"name\": {}, \"calls\": {}, \"definite\": {}, \"proved\": {}, \
                  \"unknown\": {}, \"settled\": {}, \"wall_us\": {}, \
                  \"definite_wall_us\": {}, \"unknown_wall_us\": {}, \"p50_us\": {}, \
-                 \"p99_us\": {}, \"faults\": {}, \"breaker_open\": {}}}{}\n",
+                 \"p99_us\": {}, \"faults\": {}}}{}\n",
                 json_str(&b.name),
                 b.calls,
                 b.definite,
@@ -307,7 +305,6 @@ impl MetricsSnapshot {
                 b.p50_us,
                 b.p99_us,
                 b.faults,
-                b.breaker_open,
                 if i + 1 < backends.len() { "," } else { "" }
             ));
         }
@@ -571,12 +568,11 @@ mod tests {
             assert!(json.contains(&format!("\"{}\"", s.name())), "{}", s);
         }
         assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"schema_version\": 4"));
+        assert!(json.contains("\"schema_version\": 5"));
         assert!(json.contains("\"name\": \"udp\""));
         assert!(json.contains("\"definite_wall_us\""));
         assert!(json.contains("\"faults\": {"));
         assert!(json.contains("\"backend_faults\": 0"));
-        assert!(json.contains("\"breaker_open\": false"));
         assert!(
             json.contains("\"memory\": null"),
             "no memory session ⇒ null section"

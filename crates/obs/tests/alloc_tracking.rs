@@ -117,7 +117,7 @@ fn totals_equal_the_row_sums_and_json_reports_tracked() {
     let row_bytes: u64 = mem.stages.iter().map(|r| r.alloc_bytes).sum();
     assert_eq!(row_bytes, mem.total_alloc_bytes());
     let json = snap.to_json(&[]);
-    assert!(json.contains("\"schema_version\": 4"), "{json}");
+    assert!(json.contains("\"schema_version\": 5"), "{json}");
     assert!(json.contains("\"tracked\": true"), "{json}");
     assert!(!json.contains("\"memory\": null"), "{json}");
 }

@@ -49,7 +49,7 @@ pub use udp_solve::SolveMode;
 
 use cache::Lru;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use udp_core::budget::Exhausted;
 use udp_core::ctx::Options;
@@ -58,7 +58,7 @@ use udp_core::spnf::Nf;
 use udp_core::Verdict;
 use udp_obs::fault::PROBE_GOAL;
 use udp_obs::{Counter, FaultAction, FaultInjector, FaultPlan, Recorder, Stage};
-use udp_solve::{BackendOutcome, Breakers, SolveConfig};
+use udp_solve::{BackendOutcome, SolveConfig};
 use udp_sql::ast::Query;
 use udp_sql::{Dialect, Frontend, ParseError, VerifyError};
 
@@ -103,9 +103,6 @@ pub struct SessionConfig {
     /// (the default) injects nothing and costs one `Option` check per
     /// probe.
     pub chaos: Option<FaultPlan>,
-    /// Consecutive contained faults before a backend's circuit breaker
-    /// opens for the rest of the session (`0` = never trip).
-    pub breaker_threshold: u32,
 }
 
 impl Default for SessionConfig {
@@ -123,7 +120,6 @@ impl Default for SessionConfig {
             mode: SolveMode::Udp,
             recorder: Recorder::disabled(),
             chaos: None,
-            breaker_threshold: 5,
         }
     }
 }
@@ -254,7 +250,6 @@ pub struct Session {
     config: SessionConfig,
     cache: Mutex<Lru<CacheKey, Verdict>>,
     stats: Mutex<ServiceStats>,
-    breakers: Arc<Breakers>,
     faults: FaultInjector,
 }
 
@@ -289,13 +284,11 @@ impl Session {
             }
             None => FaultInjector::disabled(),
         };
-        let breakers = Arc::new(Breakers::new(config.breaker_threshold));
         Session {
             base,
             config,
             cache: Mutex::new(cache),
             stats: Mutex::new(ServiceStats::default()),
-            breakers,
             faults,
         }
     }
@@ -340,18 +333,7 @@ impl Session {
         let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         stats.cache_entries = cache.len() as u64;
         stats.cache_resident_bytes = cache.resident_bytes() as u64;
-        // Overlay the live circuit-breaker state (the per-attempt fault
-        // tallies are already in the aggregate; open/closed is a gauge only
-        // the breakers themselves know).
-        for (name, b) in stats.backends.iter_mut() {
-            b.breaker_open = self.breakers.is_open(name);
-        }
         stats
-    }
-
-    /// The session's live circuit breakers (test and driver introspection).
-    pub fn breakers(&self) -> &Breakers {
-        &self.breakers
     }
 
     /// Live entries in the verdict cache.
@@ -428,7 +410,6 @@ impl Session {
             options: self.config.options.clone(),
             record_trace: self.config.record_trace,
             recorder: self.config.recorder.clone(),
-            breakers: Some(Arc::clone(&self.breakers)),
             faults: self.faults.clone(),
             fault_key: index as u64,
             ..SolveConfig::default()
@@ -641,10 +622,10 @@ impl Session {
                 aborted: None,
             };
         }
-        // No backend produced any verdict (every attempt faulted, or the
-        // breakers disabled them all): an aborted goal, surfaced as an
-        // error. The synthesized placeholder verdict is deliberately
-        // *dropped* here — it must never reach the cache.
+        // No backend produced any verdict (every attempt faulted): an
+        // aborted goal, surfaced as an error. The synthesized placeholder
+        // verdict is deliberately *dropped* here — it must never reach the
+        // cache.
         if let Some(reason) = solved.fault {
             let wall = started.elapsed();
             self.note_aborted();

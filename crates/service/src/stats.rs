@@ -35,9 +35,6 @@ pub struct BackendStats {
     /// Attempts that panicked and were contained (a subset of `unknown`:
     /// faulted attempts are never definite and never settle a goal).
     pub faults: u64,
-    /// Did the session's circuit breaker disable this backend? Overlaid
-    /// from the live breaker state by [`crate::Session::stats`].
-    pub breaker_open: bool,
     /// Log₂ histogram of per-attempt latency in microseconds.
     pub latency_us: Histogram,
 }
@@ -189,7 +186,6 @@ impl ServiceStats {
                 p50_us: b.latency_percentile_us(0.5),
                 p99_us: b.latency_percentile_us(0.99),
                 faults: b.faults,
-                breaker_open: b.breaker_open,
             })
             .collect()
     }
@@ -234,12 +230,8 @@ impl ServiceStats {
                 b.latency_percentile_us(0.5),
                 b.latency_percentile_us(0.99),
             ));
-            if b.faults > 0 || b.breaker_open {
-                out.push_str(&format!(
-                    " | {} faults{}",
-                    b.faults,
-                    if b.breaker_open { ", breaker OPEN" } else { "" }
-                ));
+            if b.faults > 0 {
+                out.push_str(&format!(" | {} faults", b.faults));
             }
         }
         out
@@ -336,12 +328,8 @@ mod tests {
         let rows = s.backend_summaries();
         let row = rows.iter().find(|r| r.name == "sym").unwrap();
         assert_eq!(row.faults, 1);
-        assert!(!row.breaker_open);
         let r = s.render();
         assert!(r.contains("1 faults"), "{r}");
-        assert!(!r.contains("breaker OPEN"), "{r}");
-        s.backends.get_mut("sym").unwrap().breaker_open = true;
-        assert!(s.render().contains("breaker OPEN"));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! * worker-level panics (the `goal` probe) are supervised: the batch
 //!   completes, the poisoned goal reports an abort, its slot stays
 //!   order-preserved;
-//! * the circuit breaker trips on consecutive faults and is surfaced in
-//!   `ServiceStats`;
 //! * a deterministic step-cap timeout on a goal that still exhausts the
 //!   matching search maps to `AbortReason::BudgetExhausted` — distinct from
 //!   `Panicked` — and is never cached.
@@ -79,7 +77,7 @@ fn chaos_session(workers: usize, plan: FaultPlan) -> (Recorder, Session, Vec<Str
 
 /// Every `sym` call panics: cascade degrades each goal to the UDP backend,
 /// all verdicts stay definite, the output is identical across worker
-/// counts, and the breaker trips and shows up in the stats render.
+/// counts, and the faults show up in the stats render.
 #[test]
 fn sym_panics_degrade_but_never_flip_and_are_worker_invariant() {
     let runs: Vec<_> = [1usize, 2, 4]
@@ -98,13 +96,12 @@ fn sym_panics_degrade_but_never_flip_and_are_worker_invariant() {
     }
     // The clean goals were all decided by udp and cached as usual.
     assert_eq!(session.cache_len(), GOAL_LINES.len());
-    // The breaker tripped (≥5 consecutive sym faults over 6 goals) and the
-    // operator can see it.
-    assert!(session.breakers().is_open("sym"));
-    assert!(!session.breakers().is_open("udp"));
+    // The operator can see the contained sym faults.
     let stats = session.stats();
     assert!(
-        stats.render().contains("breaker OPEN"),
+        stats
+            .render()
+            .contains(&format!("| {} faults", GOAL_LINES.len())),
         "{}",
         stats.render()
     );
@@ -156,7 +153,6 @@ fn fully_faulted_goals_abort_and_are_never_cached() {
     }
     let snap = recorder.snapshot();
     assert!(snap.counter(Counter::GoalAborted) >= GOAL_LINES.len() as u64);
-    assert!(session.breakers().is_open("sym") || session.breakers().is_open("udp"));
 }
 
 /// Injected budget exhaustion at every backend probe: goals degrade to
@@ -196,10 +192,6 @@ fn injected_exhaustion_times_out_and_is_never_cached() {
         "budget exhaustion is degradation, not a panic-abort"
     );
     assert_eq!(snap.counter(Counter::BackendFault), 0);
-    assert!(
-        !session.breakers().is_open("sym") && !session.breakers().is_open("udp"),
-        "exhaustion must not trip the panic breaker"
-    );
 }
 
 /// Every goal panics at the worker-level `goal` probe (outside backend

@@ -133,7 +133,7 @@ fn metrics_json_round_trips() {
     let snap = recorder.snapshot();
     let text = snap.to_json(&session.stats().backend_summaries());
     let v = json::parse(&text).expect("snapshot must be valid JSON");
-    assert_eq!(v.get("schema_version").and_then(|x| x.as_u64()), Some(4));
+    assert_eq!(v.get("schema_version").and_then(|x| x.as_u64()), Some(5));
     assert!(
         matches!(v.get("memory"), Some(json::Value::Null)),
         "no memory session requested, so the memory section must be null"

@@ -38,12 +38,10 @@
 
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod portfolio;
 pub mod sym;
 pub mod udp;
 
-pub use breaker::Breakers;
 pub use portfolio::{solve_normalized, solve_queries, BackendAttempt, SolveReport};
 pub use sym::SymBackend;
 pub use udp::UdpBackend;
@@ -85,10 +83,6 @@ pub struct SolveConfig {
     /// Stage-metrics sink passed down to backends (nested canonize-core /
     /// congruence spans). The default disabled handle is free.
     pub recorder: udp_obs::Recorder,
-    /// Session-shared circuit breakers: a backend tripped by K consecutive
-    /// faults is skipped (never attempted) until the session ends. `None`
-    /// disables breaker tracking entirely (the sequential CLI paths).
-    pub breakers: Option<Arc<Breakers>>,
     /// Deterministic chaos injection at the backend probe points; the
     /// default disabled injector is one `Option` check per attempt.
     pub faults: udp_obs::FaultInjector,
@@ -107,7 +101,6 @@ impl Default for SolveConfig {
             record_trace: false,
             cancel: Vec::new(),
             recorder: udp_obs::Recorder::disabled(),
-            breakers: None,
             faults: udp_obs::FaultInjector::default(),
             fault_key: 0,
         }

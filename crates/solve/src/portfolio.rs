@@ -9,8 +9,7 @@
 //! crosscheck treats it as non-disagreement; only when *no* backend
 //! produces any verdict does the portfolio return a fault report
 //! ([`SolveReport::fault`]) — which callers surface as an error and never
-//! cache. Session-shared circuit breakers ([`crate::Breakers`]) skip a
-//! backend after K consecutive faults.
+//! cache.
 
 use crate::{
     normalize_pair, Backend, BackendOutcome, BackendVerdict, Goal, SolveConfig, SolveMode,
@@ -65,7 +64,7 @@ pub struct SolveReport {
     /// The final verdict, decision-compatible with the plain UDP pipeline.
     pub verdict: Verdict,
     /// The backend whose answer became the final verdict (`"none"` when
-    /// every backend faulted or was breaker-skipped).
+    /// every backend faulted).
     pub settled_by: &'static str,
     /// Every backend attempt that completed before the portfolio settled
     /// (in race mode the losing backend may be absent).
@@ -75,9 +74,9 @@ pub struct SolveReport {
     /// must surface it as a failure, never as a verdict.
     pub disagreement: Option<String>,
     /// Set when no backend produced a verdict at all (every attempt
-    /// faulted, or the breakers disabled every eligible backend). The
-    /// attached verdict is a synthesized `Timeout` placeholder; callers
-    /// must report the goal as aborted and never cache it.
+    /// faulted). The attached verdict is a synthesized `Timeout`
+    /// placeholder; callers must report the goal as aborted and never cache
+    /// it.
     pub fault: Option<String>,
 }
 
@@ -111,7 +110,7 @@ fn synthesize(goal_sizes: (usize, usize), bv: &BackendVerdict) -> Verdict {
 /// every attempt in every [`SolveMode`] flows through here exactly once, on
 /// the portfolio thread, so counter totals stay worker-count invariant.
 /// Also drops the trace instants marking each backend's verdict, budget
-/// exhaustion, and contained faults, and feeds the circuit breakers.
+/// exhaustion, and contained faults.
 fn record_attempt(config: &SolveConfig, bv: &BackendVerdict) -> BackendAttempt {
     let definite = bv.outcome.is_definite();
     let (exits, wall_ns, verdict_mark) = match (bv.backend, definite) {
@@ -149,11 +148,6 @@ fn record_attempt(config: &SolveConfig, bv: &BackendVerdict) -> BackendAttempt {
     if bv.outcome.is_faulted() {
         recorder.count(Counter::BackendFault, 1);
         recorder.instant("backend-fault");
-        if let Some(breakers) = &config.breakers {
-            breakers.note_fault(bv.backend);
-        }
-    } else if let Some(breakers) = &config.breakers {
-        breakers.note_ok(bv.backend);
     }
     BackendAttempt::from(bv)
 }
@@ -180,8 +174,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// backend becomes a [`BackendOutcome::Faulted`] verdict instead of killing
 /// the worker. `AssertUnwindSafe` is sound here because a panicking attempt
 /// contributes nothing afterwards — its context, budget, and partial state
-/// are all dropped with the unwound stack, and the shared recorder/breaker
-/// state is updated only through atomics.
+/// are all dropped with the unwound stack, and the shared recorder is
+/// updated only through atomics.
 fn run_traced(goal: &Goal, backend: &dyn Backend, span: &'static str) -> BackendVerdict {
     let (stage, probe, name) = if span == "sym-prove" {
         (Stage::SymProve, PROBE_BACKEND_SYM, "sym")
@@ -239,14 +233,6 @@ fn run_traced(goal: &Goal, backend: &dyn Backend, span: &'static str) -> Backend
     }
 }
 
-/// Is this backend disabled by its session circuit breaker?
-fn breaker_open(goal: &Goal, backend: &str) -> bool {
-    goal.config
-        .breakers
-        .as_ref()
-        .is_some_and(|b| b.is_open(backend))
-}
-
 /// Turn a backend verdict into the final report entry, preferring the
 /// backend's own core verdict (with trace) when it has one.
 fn finalize(goal: &Goal, bv: BackendVerdict, attempts: Vec<BackendAttempt>) -> SolveReport {
@@ -297,22 +283,12 @@ pub fn solve_normalized(goal: &Goal, mode: SolveMode) -> SolveReport {
         SolveMode::Udp => solo(goal, &UdpBackend, "udp-prove"),
         SolveMode::Sym => solo(goal, &SymBackend, "sym-prove"),
         SolveMode::Cascade => {
-            let mut attempts = Vec::new();
-            if !breaker_open(goal, "sym") {
-                let sym = run_traced(goal, &SymBackend, "sym-prove");
-                attempts.push(record_attempt(&goal.config, &sym));
-                if sym.outcome.is_definite() {
-                    return finalize(goal, sym, attempts);
-                }
-                // Unknown *or* faulted: degrade to the UDP fallback.
+            let sym = run_traced(goal, &SymBackend, "sym-prove");
+            let mut attempts = vec![record_attempt(&goal.config, &sym)];
+            if sym.outcome.is_definite() {
+                return finalize(goal, sym, attempts);
             }
-            if breaker_open(goal, "udp") {
-                return fault_report(
-                    goal,
-                    attempts,
-                    "udp backend disabled by circuit breaker".to_string(),
-                );
-            }
+            // Unknown *or* faulted: degrade to the UDP fallback.
             let udp = run_traced(goal, &UdpBackend, "udp-prove");
             attempts.push(record_attempt(&goal.config, &udp));
             if udp.outcome.is_faulted() {
@@ -326,17 +302,8 @@ pub fn solve_normalized(goal: &Goal, mode: SolveMode) -> SolveReport {
     }
 }
 
-/// A single-backend mode (also the degenerate race/crosscheck when the
-/// breaker disabled the other backend).
+/// A single-backend mode.
 fn solo(goal: &Goal, backend: &dyn Backend, span: &'static str) -> SolveReport {
-    let name = if span == "sym-prove" { "sym" } else { "udp" };
-    if breaker_open(goal, name) {
-        return fault_report(
-            goal,
-            Vec::new(),
-            format!("{name} backend disabled by circuit breaker"),
-        );
-    }
     let bv = run_traced(goal, backend, span);
     let attempts = vec![record_attempt(&goal.config, &bv)];
     if bv.outcome.is_faulted() {
@@ -438,28 +405,12 @@ fn prefer_unknown(a: BackendVerdict, b: BackendVerdict) -> BackendVerdict {
 /// is still running; panics are contained inside [`run_traced`] on the race
 /// threads, so every spawned backend always reports back.
 fn race(goal: &Goal) -> SolveReport {
-    let backends: Vec<&'static str> = ["sym", "udp"]
-        .into_iter()
-        .filter(|b| !breaker_open(goal, b))
-        .collect();
-    match backends.as_slice() {
-        [] => {
-            return fault_report(
-                goal,
-                Vec::new(),
-                "all backends disabled by circuit breaker".to_string(),
-            )
-        }
-        ["sym"] => return solo(goal, &SymBackend, "sym-prove"),
-        ["udp"] => return solo(goal, &UdpBackend, "udp-prove"),
-        _ => {}
-    }
     let cancel = Arc::new(AtomicBool::new(false));
     let mut owned = OwnedGoal::from_goal(goal);
     owned.config.cancel.push(Arc::clone(&cancel));
     let owned = Arc::new(owned);
     let (tx, rx) = mpsc::channel::<BackendVerdict>();
-    for which in backends {
+    for which in ["sym", "udp"] {
         let owned = Arc::clone(&owned);
         let tx = tx.clone();
         std::thread::spawn(move || {
@@ -504,18 +455,6 @@ fn race(goal: &Goal) -> SolveReport {
 /// cross-validation, surfaced through the fault counters and stats, never
 /// through a spurious hard error).
 fn crosscheck(goal: &Goal) -> SolveReport {
-    match (breaker_open(goal, "sym"), breaker_open(goal, "udp")) {
-        (true, true) => {
-            return fault_report(
-                goal,
-                Vec::new(),
-                "all backends disabled by circuit breaker".to_string(),
-            )
-        }
-        (true, false) => return solo(goal, &UdpBackend, "udp-prove"),
-        (false, true) => return solo(goal, &SymBackend, "sym-prove"),
-        (false, false) => {}
-    }
     let sym = run_traced(goal, &SymBackend, "sym-prove");
     let udp = run_traced(goal, &UdpBackend, "udp-prove");
     let attempts = vec![

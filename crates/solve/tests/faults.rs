@@ -2,8 +2,7 @@
 //! caught at the backend boundary (never escaping `solve_normalized`),
 //! cascade degrades past a faulted symbolic attempt, race ignores faulted
 //! losers, a fully faulted portfolio yields a fault *report* rather than a
-//! definite verdict, circuit breakers disable repeat offenders, and the
-//! budget taxonomy keeps a pre-set cancellation flag (`Cancelled`) distinct
+//! definite verdict, and the budget taxonomy keeps a pre-set cancellation flag (`Cancelled`) distinct
 //! from a step-cap trip (`Steps`).
 
 use std::sync::atomic::AtomicBool;
@@ -16,7 +15,7 @@ use udp_core::spnf::normalize;
 use udp_core::uexpr::UExpr;
 use udp_core::Decision;
 use udp_obs::{install_chaos_panic_silencer, FaultInjector, FaultPlan};
-use udp_solve::{solve_normalized, Breakers, Goal, SolveConfig, SolveMode};
+use udp_solve::{solve_normalized, Goal, SolveConfig, SolveMode};
 
 fn v(i: u32) -> VarId {
     VarId(i)
@@ -206,47 +205,6 @@ fn fully_faulted_portfolio_reports_a_fault_not_a_verdict() {
         );
         assert!(report.attempts.iter().all(|a| a.outcome.is_faulted()));
     }
-}
-
-#[test]
-fn breaker_trips_after_consecutive_faults_and_skips_the_backend() {
-    install_chaos_panic_silencer();
-    let f = fixture();
-    let breakers = Arc::new(Breakers::new(2));
-    let config = || SolveConfig {
-        faults: panic_injector(Some(udp_obs::fault::PROBE_BACKEND_SYM)),
-        breakers: Some(Arc::clone(&breakers)),
-        ..steps_only()
-    };
-    // Two consecutive contained faults trip the breaker...
-    for _ in 0..2 {
-        let report = run(&f, &spj_pair(&f), SolveMode::Sym, config());
-        assert!(report.fault.is_some());
-        assert_eq!(report.attempts.len(), 1, "breaker still closed: sym runs");
-    }
-    assert!(breakers.is_open("sym"));
-    assert_eq!(breakers.faults("sym"), 2);
-    // ...after which the backend is never attempted again this session.
-    let report = run(&f, &spj_pair(&f), SolveMode::Sym, config());
-    assert!(
-        report.attempts.is_empty(),
-        "open breaker must skip the call"
-    );
-    assert!(
-        report
-            .fault
-            .as_deref()
-            .unwrap_or("")
-            .contains("circuit breaker"),
-        "{:?}",
-        report.fault
-    );
-    // An open sym breaker degrades cascade straight to UDP — which works.
-    let mut cascade = config();
-    cascade.faults = FaultInjector::disabled();
-    let report = run(&f, &spj_pair(&f), SolveMode::Cascade, cascade);
-    assert_eq!(report.verdict.decision, Decision::Proved);
-    assert_eq!(report.settled_by, "udp");
 }
 
 #[test]

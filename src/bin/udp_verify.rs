@@ -48,8 +48,7 @@
 //! fault injector (seeded panics, forced budget exhaustion, artificial
 //! delays at named probes — see `udp_obs::FaultPlan`) and forces the
 //! supervised service path so contained faults degrade goals instead of
-//! killing the process; pair with `--stats` to see fault counts and
-//! circuit-breaker state.
+//! killing the process; pair with `--stats` to see fault counts.
 //!
 //! The frontend (parse + catalog) is built once and reused by every mode;
 //! each goal is lowered exactly once on the sequential path, feeding both
@@ -201,8 +200,8 @@ fn main() -> ExitCode {
         mode = SolveMode::Udp;
     }
     let sequential_only = spnf || check_trace || counterexample;
-    // `--chaos` needs the supervised service path (worker containment,
-    // circuit breakers) even at one worker, so it forces the session route.
+    // `--chaos` needs the supervised service path (worker containment)
+    // even at one worker, so it forces the session route.
     if (jobs > 1 || chaos.is_some()) && !sequential_only {
         return run_parallel(
             &text,
@@ -312,13 +311,16 @@ fn main() -> ExitCode {
         }
         // The historical UDP mode keeps the direct `decide_with` path (its
         // stats report pre-SPNF sizes); portfolio modes route through
-        // udp-solve over the same lowered pair.
+        // udp-solve over the same lowered pair. The goal's wall ends when
+        // its verdict exists: the `--stats` and metrics bookkeeping after it
+        // is reporting, not deciding.
         let mut steps = 0u64;
-        let verdict = if mode == SolveMode::Udp {
+        let (verdict, wall) = if mode == SolveMode::Udp {
             let v = {
                 let _t = recorder.trace_span("udp-prove");
                 udp_core::decide_with(&fe.catalog, &fe.constraints, &q1, &q2, config.clone())
             };
+            let wall = goal_start.elapsed();
             let definite = !matches!(v.decision, udp_core::Decision::Timeout);
             stats.record_backend(
                 "udp",
@@ -341,7 +343,7 @@ fn main() -> ExitCode {
             recorder.count(wall_ns, v.stats.wall.as_nanos() as u64);
             obs.add(Stage::UdpProve, v.stats.wall, v.stats.steps_used);
             steps = v.stats.steps_used;
-            v
+            (v, wall)
         } else {
             // Normalize explicitly (rather than inside `solve_queries`) so
             // the SPNF/canonize cost lands in the `canonize` stage exactly
@@ -367,6 +369,7 @@ fn main() -> ExitCode {
                 config: solve_config.clone(),
             };
             let report = udp_solve::solve_normalized(&goal, mode);
+            let wall = goal_start.elapsed();
             if let Some(d) = report.disagreement {
                 eprintln!("goal {}: backend disagreement: {d}", i + 1);
                 return ExitCode::FAILURE;
@@ -391,9 +394,8 @@ fn main() -> ExitCode {
                 obs.add(stage, a.wall, a.steps);
                 steps += a.steps;
             }
-            report.verdict
+            (report.verdict, wall)
         };
-        let wall = goal_start.elapsed();
         stats.record(wall, false, verdict.decision.is_proved(), false);
         obs.finish(|| format!("goal {}", i + 1), wall, steps);
         results.push(verdict);
